@@ -364,6 +364,135 @@ TEST(PaperRuns, WeakDeadlineEnforced) {
   EXPECT_FALSE(check_transient_atomicity(b.log()).ok);
 }
 
+// ---------- Golden explanations ----------
+//
+// One hand-built history per way check_atomicity can fail, with the full
+// explanation pinned byte for byte: the text is the checker's user
+// interface (fuzz repros and test failures print it), so any change to it
+// must be deliberate. The constraint-cycle cases name each constraint kind
+// (P1/C1/C2/C3, and the initial write's edge) in at least one pinned edge.
+// No case pins a "contradictory constraint": every constraint joins two
+// distinct writes, so no history can produce a self-loop.
+
+struct golden_case {
+  const char* name;
+  history_log h;
+  criterion c;
+  bool usage_error;
+  const char* explanation;
+};
+
+std::vector<golden_case> golden_cases() {
+  std::vector<golden_case> out;
+  const auto add = [&](const char* name, const history_builder& b, criterion c,
+                       bool usage_error, const char* explanation) {
+    out.push_back({name, b.log(), c, usage_error, explanation});
+  };
+  {
+    history_builder b;  // C0: the read ends before its write starts
+    b.inv_w(0, 1).ret_w(0).inv_r(1).ret_r(1, 5).inv_w(0, 5).ret_w(0);
+    add("c0_read_precedes_its_write", b, criterion::persistent, false,
+        "read precedes the write it returns: p1 R->u32:5 @[2,3] vs p0 W(u32:5) @[4,5]");
+  }
+  {
+    history_builder b;
+    b.inv_w(0, 1).ret_w(0).inv_r(1).ret_r(1, 99);
+    add("never_written_value", b, criterion::persistent, false,
+        "read returned a never-written value: p1 R->u32:99 @[2,3]");
+  }
+  {
+    history_builder b;  // W1 then W2 (P1), then a read of 1 after W2 (C1)
+    b.inv_w(0, 1).ret_w(0).inv_w(0, 2).ret_w(0).inv_r(1).ret_r(1, 1);
+    add("cycle_p1_c1", b, criterion::persistent, false,
+        "no legal sequential completion; constraint cycle:\n"
+        "  p0 W(u32:1) @[0,1] -> p0 W(u32:2) @[2,3]   [p0 W(u32:1) @[0,1] precedes p0 W(u32:2) @[2,3]]\n"
+        "  p0 W(u32:2) @[2,3] -> p0 W(u32:1) @[0,1]   [p0 W(u32:2) @[2,3] precedes p1 R->u32:1 @[4,5] which returns p0 W(u32:1) @[0,1]]\n");
+  }
+  {
+    history_builder b;  // the initial value read after a completed write
+    b.inv_w(0, 1).ret_w(0).inv_r(1).ret_r_initial(1);
+    add("cycle_initial_c1", b, criterion::persistent, false,
+        "no legal sequential completion; constraint cycle:\n"
+        "  W0(initial) -> p0 W(u32:1) @[0,1]   [initial value precedes all writes]\n"
+        "  p0 W(u32:1) @[0,1] -> W0(initial)   [p0 W(u32:1) @[0,1] precedes p1 R->_|_ @[2,3] which returns W0(initial)]\n");
+  }
+  {
+    history_builder b;  // W(1) pending; a read of 1 wholly precedes W(2) (C2),
+                        // W(2) wholly precedes a second read of 1 (C1)
+    b.inv_w(0, 1).inv_r(2).ret_r(2, 1).inv_w(1, 2).ret_w(1).inv_r(2).ret_r(2, 1);
+    add("cycle_c2_c1", b, criterion::persistent, false,
+        "no legal sequential completion; constraint cycle:\n"
+        "  p0 W(u32:1) pending @[0,-] -> p1 W(u32:2) @[3,4]   [p2 R->u32:1 @[1,2] (returning p0 W(u32:1) pending @[0,-]) precedes p1 W(u32:2) @[3,4]]\n"
+        "  p1 W(u32:2) @[3,4] -> p0 W(u32:1) pending @[0,-]   [p1 W(u32:2) @[3,4] precedes p2 R->u32:1 @[5,6] which returns p0 W(u32:1) pending @[0,-]]\n");
+  }
+  {
+    history_builder b;  // new-old inversion: W1 before W2 (P1), read 2 then 1 (C3)
+    b.inv_w(0, 1).ret_w(0).inv_w(0, 2).inv_r(1).ret_r(1, 2).inv_r(1).ret_r(1, 1).ret_w(0);
+    add("cycle_p1_c3", b, criterion::persistent, false,
+        "no legal sequential completion; constraint cycle:\n"
+        "  p0 W(u32:1) @[0,1] -> p0 W(u32:2) @[2,7]   [p0 W(u32:1) @[0,1] precedes p0 W(u32:2) @[2,7]]\n"
+        "  p0 W(u32:2) @[2,7] -> p0 W(u32:1) @[0,1]   [p1 R->u32:2 @[3,4] precedes p1 R->u32:1 @[5,6] but they return opposite-ordered writes]\n");
+  }
+  {
+    history_builder b;  // both writes done, then reads of 2, 1, 2: C1 both ways
+    b.inv_w(0, 1).inv_w(1, 2).ret_w(0).ret_w(1);
+    b.inv_r(2).ret_r(2, 2).inv_r(2).ret_r(2, 1).inv_r(2).ret_r(2, 2);
+    add("cycle_c1_c1", b, criterion::persistent, false,
+        "no legal sequential completion; constraint cycle:\n"
+        "  p0 W(u32:1) @[0,2] -> p1 W(u32:2) @[1,3]   [p0 W(u32:1) @[0,2] precedes p2 R->u32:2 @[4,5] which returns p1 W(u32:2) @[1,3]]\n"
+        "  p1 W(u32:2) @[1,3] -> p0 W(u32:1) @[0,2]   [p1 W(u32:2) @[1,3] precedes p2 R->u32:1 @[6,7] which returns p0 W(u32:1) @[0,2]]\n");
+  }
+  {
+    history_builder b;  // run rho1: a crash-cut write bounded by the next invocation
+    b.inv_w(0, 1).ret_w(0).inv_w(0, 2).crash(0).recover(0).inv_w(0, 3);
+    b.inv_r(1).ret_r(1, 1).inv_r(1).ret_r(1, 2).ret_w(0);
+    add("cycle_pending_write_persistent", b, criterion::persistent, false,
+        "no legal sequential completion; constraint cycle:\n"
+        "  p0 W(u32:1) @[0,1] -> p0 W(u32:2) pending @[2,-]   [p0 W(u32:1) @[0,1] precedes p0 W(u32:2) pending @[2,-]]\n"
+        "  p0 W(u32:2) pending @[2,-] -> p0 W(u32:1) @[0,1]   [p0 W(u32:2) pending @[2,-] precedes p1 R->u32:1 @[6,7] which returns p0 W(u32:1) @[0,1]]\n");
+  }
+  {
+    history_builder b;  // past the weak deadline (transient)
+    b.inv_w(0, 1).ret_w(0).inv_w(0, 2).crash(0).recover(0).inv_w(0, 3).ret_w(0);
+    b.inv_r(1).ret_r(1, 3).inv_r(1).ret_r(1, 2);
+    add("cycle_pending_write_transient", b, criterion::transient, false,
+        "no legal sequential completion; constraint cycle:\n"
+        "  p0 W(u32:2) pending @[2,-] -> p0 W(u32:3) @[5,6]   [p0 W(u32:2) pending @[2,-] precedes p1 R->u32:3 @[7,8] which returns p0 W(u32:3) @[5,6]]\n"
+        "  p0 W(u32:3) @[5,6] -> p0 W(u32:2) pending @[2,-]   [p0 W(u32:3) @[5,6] precedes p1 R->u32:2 @[9,10] which returns p0 W(u32:2) pending @[2,-]]\n");
+  }
+  {
+    history_builder b;
+    b.inv_w(0, 1).ret_w(0).inv_w(1, 1).ret_w(1);
+    add("usage_duplicate_value", b, criterion::persistent, true,
+        "checker requires unique write values: p1 W(u32:1) @[2,3]");
+  }
+  {
+    history_builder b;
+    b.inv_w(0, 1).ret_w(0);
+    golden_case g{"usage_initial_value", b.log(), criterion::persistent, true,
+                  "checker requires non-initial write values: p1 W(_|_) @[2,3]"};
+    g.h.push_back(event{event_kind::invoke_write, process_id{1}, initial_value(), 2000});
+    g.h.push_back(event{event_kind::reply_write, process_id{1}, {}, 3000});
+    out.push_back(std::move(g));
+  }
+  {
+    history_builder b;
+    b.inv_w(0, 1).inv_r(0);
+    add("usage_ill_formed", b, criterion::persistent, true,
+        "ill-formed history: invocation while busy at event 1 (p0 inv R)");
+  }
+  return out;
+}
+
+TEST(GoldenExplanations, EveryFailurePathIsPinned) {
+  for (const golden_case& g : golden_cases()) {
+    const check_result r = check_atomicity(g.h, g.c);
+    EXPECT_FALSE(r.ok) << g.name;
+    EXPECT_EQ(r.usage_error, g.usage_error) << g.name;
+    EXPECT_EQ(r.explanation, g.explanation) << g.name;
+  }
+}
+
 // ---------- Cross-validation against the brute-force checker ----------
 
 TEST(BruteForce, AgreesOnPaperRuns) {

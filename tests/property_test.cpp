@@ -407,6 +407,131 @@ TEST(KeyedCheckerCrossValidation, ProjectionEqualsWholeOnSingleKeyHistories) {
   EXPECT_GT(checked, 100);
 }
 
+// Keyed histories whose reads mostly return the latest value written to
+// their register, so most projections are atomic and a violation planted by
+// mutate_keyed_history() often lands on a register other than the smallest.
+history::history_log mostly_atomic_keyed_history(rng& r, std::uint32_t procs,
+                                                 std::uint32_t keys, int steps) {
+  using history::event;
+  using history::event_kind;
+  history::history_log h;
+  struct pstate {
+    bool up = true;
+    bool busy = false;
+    bool busy_read = false;
+    register_id reg = default_register;
+  };
+  std::vector<pstate> st(procs);
+  std::vector<value> latest(keys);  // per register: last invoked write's value
+  std::uint32_t next_write = 1;
+  time_ns t = 0;
+  for (int i = 0; i < steps; ++i) {
+    const auto p = static_cast<std::uint32_t>(r.next_below(procs));
+    auto& s = st[p];
+    t += 1000;
+    const auto roll = r.next_below(20);
+    if (!s.up) {
+      if (roll < 12) {
+        h.push_back(event{event_kind::recover, process_id{p}, {}, t});
+        s.up = true;
+        s.busy = false;
+      }
+    } else if (roll == 0) {
+      h.push_back(event{event_kind::crash, process_id{p}, {}, t});
+      s.up = false;
+    } else if (s.busy) {
+      const event_kind k = s.busy_read ? event_kind::reply_read : event_kind::reply_write;
+      h.push_back(event{k, process_id{p}, s.busy_read ? latest[s.reg] : value{}, t, s.reg});
+      s.busy = false;
+    } else {
+      s.busy = true;
+      s.busy_read = roll >= 10;
+      s.reg = static_cast<register_id>(r.next_below(keys));
+      if (s.busy_read) {
+        h.push_back(event{event_kind::invoke_read, process_id{p}, {}, t, s.reg});
+      } else {
+        latest[s.reg] = value_of_u32(next_write++);
+        h.push_back(event{event_kind::invoke_write, process_id{p}, latest[s.reg], t, s.reg});
+      }
+    }
+  }
+  return h;
+}
+
+/// Plants one defect: a read returning some other write's value (stale, from
+/// another register, or ⊥), a duplicate write value, or an initial write.
+void mutate_keyed_history(rng& r, history::history_log& h) {
+  using history::event_kind;
+  std::vector<std::size_t> reads;
+  std::vector<std::size_t> writes;
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    if (h[i].kind == event_kind::reply_read) reads.push_back(i);
+    if (h[i].kind == event_kind::invoke_write) writes.push_back(i);
+  }
+  if (writes.empty()) return;
+  const value& some_write = h[writes[r.next_below(writes.size())]].v;
+  const auto roll = r.next_below(10);
+  if (roll < 7 && !reads.empty()) {
+    h[reads[r.next_below(reads.size())]].v = roll == 0 ? initial_value() : some_write;
+  } else if (roll < 9) {
+    h[writes[r.next_below(writes.size())]].v = some_write;
+  } else {
+    h[writes[r.next_below(writes.size())]].v = initial_value();
+  }
+}
+
+/// The definition check_atomicity_per_key must match: one projection and
+/// one check_atomicity call per register, in ascending register order.
+history::keyed_check_result reference_per_key(const history::history_log& h,
+                                              history::criterion c) {
+  history::keyed_check_result out;
+  for (const register_id reg : history::keys_of(h)) {
+    out.keys_checked += 1;
+    const auto sub = history::check_atomicity(history::project_key(h, reg), c);
+    if (sub.ok) continue;
+    out.ok = false;
+    out.usage_error = sub.usage_error;
+    out.failing_key = reg;
+    out.explanation = "register " + std::to_string(reg) + ": " + sub.explanation;
+    break;
+  }
+  return out;
+}
+
+TEST(KeyedCheckerCrossValidation, GroupedCheckerMatchesProjectionLoop) {
+  rng r(4242);
+  int accepted = 0;
+  int later_key = 0;  // failures on a register other than the smallest
+  int usage = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    auto h = mostly_atomic_keyed_history(r, 2 + static_cast<std::uint32_t>(r.next_below(3)),
+                                         1 + static_cast<std::uint32_t>(r.next_below(6)),
+                                         20 + static_cast<int>(r.next_below(80)));
+    if (trial % 3 != 0) mutate_keyed_history(r, h);
+    ASSERT_TRUE(history::check_well_formed(h).ok) << history::to_string(h);
+    for (const auto c : {history::criterion::persistent, history::criterion::transient}) {
+      const auto want = reference_per_key(h, c);
+      const auto got = history::check_atomicity_per_key(h, c);
+      EXPECT_EQ(got.ok, want.ok) << history::to_string(h);
+      EXPECT_EQ(got.usage_error, want.usage_error) << history::to_string(h);
+      EXPECT_EQ(got.failing_key, want.failing_key) << history::to_string(h);
+      EXPECT_EQ(got.keys_checked, want.keys_checked) << history::to_string(h);
+      EXPECT_EQ(got.explanation, want.explanation) << history::to_string(h);
+      if (want.ok) {
+        ++accepted;
+      } else if (want.usage_error) {
+        ++usage;
+      } else if (want.failing_key != history::keys_of(h).front()) {
+        ++later_key;
+      }
+    }
+  }
+  // Every outcome must be well represented.
+  EXPECT_GT(accepted, 200);
+  EXPECT_GT(later_key, 100);
+  EXPECT_GT(usage, 50);
+}
+
 // End-to-end keyed property runs: random keyed workloads (with batches)
 // under faults and loss; every register's projection must satisfy the
 // policy's criterion.

@@ -95,6 +95,33 @@ TEST(TagOrder, RegularModeSkipsReadLeftHandSide) {
   EXPECT_TRUE(check_tag_order(ops, false).ok);
 }
 
+TEST(TagOrderPerKey, ReportsTheSmallestFailingRegisterWithPinnedText) {
+  // Registers 9 and 5 both break L1; register 2 is clean. Groups are checked
+  // in ascending register order, each in its operations' original order, so
+  // the report names register 5 and its first violating pair.
+  auto on = [](register_id reg, tagged_op op) {
+    op.reg = reg;
+    return op;
+  };
+  const std::vector<tagged_op> ops{
+      on(9, mk(false, 0, {4, 0, process_id{0}}, 40, 0, 10)),
+      on(5, mk(false, 1, {2, 0, process_id{1}}, 20, 0, 10)),
+      on(2, mk(false, 2, {1, 0, process_id{2}}, 10, 0, 10)),
+      on(9, mk(true, 3, {3, 0, process_id{0}}, 30, 20, 30)),
+      on(5, mk(false, 0, {1, 0, process_id{0}}, 21, 20, 30)),
+      on(5, mk(true, 2, {1, 0, process_id{0}}, 21, 40, 50)),
+      on(2, mk(true, 3, {1, 0, process_id{2}}, 10, 20, 30)),
+  };
+  const auto r = check_tag_order_per_key(ops);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.explanation,
+            "register 5: L1(ii) violated:\n"
+            "  p1 W(u32:20) tag=[2,p1] @[0,10]\n"
+            "  precedes\n"
+            "  p0 W(u32:21) tag=[1,p0] @[20,30]");
+  EXPECT_TRUE(check_tag_order_per_key({ops[2], ops[6]}).ok);
+}
+
 }  // namespace
 }  // namespace remus::history
 
