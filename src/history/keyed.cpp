@@ -10,10 +10,38 @@ namespace {
 using check_fn = check_result (*)(const history_log&, criterion);
 
 keyed_check_result check_with(const history_log& h, criterion c, check_fn check) {
+  // One sort groups the (register, position) pairs of every invoke/reply;
+  // each group then merges back the process-wide crash/recover events in
+  // history order, which is exactly project_key(h, register).
+  std::vector<std::pair<register_id, std::size_t>> keyed;
+  std::vector<std::size_t> process_wide;
+  keyed.reserve(h.size());
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    if (h[i].is_invoke() || h[i].is_reply()) {
+      keyed.emplace_back(h[i].reg, i);
+    } else {
+      process_wide.push_back(i);
+    }
+  }
+  std::sort(keyed.begin(), keyed.end());
+
   keyed_check_result out;
-  for (const register_id reg : keys_of(h)) {
+  history_log proj;  // reused for every register
+  for (std::size_t lo = 0; lo < keyed.size();) {
+    const register_id reg = keyed[lo].first;
+    std::size_t hi = lo;
+    proj.clear();
+    std::size_t pw = 0;
+    for (; hi < keyed.size() && keyed[hi].first == reg; ++hi) {
+      for (; pw < process_wide.size() && process_wide[pw] < keyed[hi].second; ++pw) {
+        proj.push_back(h[process_wide[pw]]);
+      }
+      proj.push_back(h[keyed[hi].second]);
+    }
+    for (; pw < process_wide.size(); ++pw) proj.push_back(h[process_wide[pw]]);
+    lo = hi;
+
     out.keys_checked += 1;
-    const history_log proj = project_key(h, reg);
     const check_result sub = check(proj, c);
     if (sub.ok) continue;
     out.ok = false;

@@ -60,28 +60,24 @@ std::vector<op_record> extract_operations(const history_log& h, criterion c) {
     }
   }
 
-  // Deadlines for pending operations.
-  for (op_record& op : ops) {
-    if (!op.pending()) continue;
-    pos2 deadline = pos2_infinity;
-    if (c == criterion::persistent) {
-      // Reply must appear before the process's next invocation.
-      for (std::size_t j = op.invoke_index + 1; j < h.size(); ++j) {
-        if (h[j].p == op.p && h[j].is_invoke()) {
-          deadline = static_cast<pos2>(2 * j) - 1;
-          break;
-        }
-      }
-    } else {
-      // Reply must appear before the process's next completed write reply.
-      for (std::size_t j = op.invoke_index + 1; j < h.size(); ++j) {
-        if (h[j].p == op.p && h[j].kind == event_kind::reply_write) {
-          deadline = static_cast<pos2>(2 * j) - 1;
-          break;
-        }
+  // Deadlines for pending operations, in one backward pass that reuses the
+  // per-process slots: next[p] is the position of p's next invocation
+  // (persistent) or next write reply (transient) after the visited event.
+  // Ops are visited in reverse invocation order alongside their invocations.
+  std::vector<std::optional<std::size_t>>& next = open;
+  for (auto& s : next) s.reset();
+  std::size_t k = ops.size();
+  for (std::size_t j = h.size(); j-- > 0;) {
+    const event& e = h[j];
+    if (e.is_invoke()) {
+      op_record& op = ops[--k];
+      if (op.pending() && next[e.p.index]) {
+        op.end2 = static_cast<pos2>(2 * *next[e.p.index]) - 1;
       }
     }
-    op.end2 = deadline;
+    const bool bounds = c == criterion::persistent ? e.is_invoke()
+                                                   : e.kind == event_kind::reply_write;
+    if (bounds) next[e.p.index] = j;
   }
   return ops;
 }

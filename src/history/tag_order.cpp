@@ -1,6 +1,9 @@
 #include "history/tag_order.h"
 
-#include <map>
+#include <algorithm>
+#include <span>
+
+#include "common/flat_hash.h"
 
 namespace remus::history {
 namespace {
@@ -15,61 +18,70 @@ std::string describe(const tagged_op& op) {
   return out;
 }
 
-}  // namespace
+struct tag_hash {
+  std::size_t operator()(const tag& t) const noexcept {
+    return mix_u64((static_cast<std::uint64_t>(t.sn) * 0x9e3779b97f4a7c15ULL) ^
+                   (static_cast<std::uint64_t>(t.rec) << 32) ^ t.writer.index);
+  }
+};
 
-tag_order_result check_tag_order(const std::vector<tagged_op>& ops,
-                                 bool check_read_monotonicity) {
-  // L2 + L3 prerequisite: map write tags to their values.
-  std::map<tag, value> writes;
-  for (const auto& op : ops) {
-    if (op.is_read) continue;
-    const auto [it, inserted] = writes.emplace(op.applied, op.val);
-    if (!inserted && !(it->second == op.val)) {
-      return {false, "L2 violated: two writes share tag " + remus::to_string(op.applied)};
+/// check_tag_order over one group of operations, given in their original
+/// order; the per-key wrapper passes each register's group without copying.
+tag_order_result check_group(std::span<const tagged_op* const> ops,
+                             bool check_read_monotonicity) {
+  // L2 + L3 prerequisite: map write tags to the first write carrying them.
+  flat_hash_map<tag, const tagged_op*, tag_hash> writes;
+  for (const tagged_op* op : ops) {
+    if (op->is_read) continue;
+    const tagged_op*& first = writes[op->applied];
+    if (first == nullptr) {
+      first = op;
+      continue;
     }
-    if (!inserted) {
-      return {false, "L2 violated: duplicate write tag " + remus::to_string(op.applied)};
+    if (!(first->val == op->val)) {
+      return {false, "L2 violated: two writes share tag " + remus::to_string(op->applied)};
     }
+    return {false, "L2 violated: duplicate write tag " + remus::to_string(op->applied)};
   }
 
   // L3: reads return the value of the write their tag names.
-  for (const auto& op : ops) {
-    if (!op.is_read) continue;
-    if (op.applied.initial()) {
-      if (!op.val.is_initial()) {
-        return {false, "L3 violated: initial tag with non-initial value: " + describe(op)};
+  for (const tagged_op* op : ops) {
+    if (!op->is_read) continue;
+    if (op->applied.initial()) {
+      if (!op->val.is_initial()) {
+        return {false, "L3 violated: initial tag with non-initial value: " + describe(*op)};
       }
       continue;
     }
-    const auto it = writes.find(op.applied);
-    if (it == writes.end()) {
+    const tagged_op* const* write = writes.find(op->applied);
+    if (write == nullptr) {
       // The write may still be pending (its invoker crashed); the value
       // itself must then at least be self-consistent, which we cannot see
       // here — accept, the black-box checker covers it.
       continue;
     }
-    if (!(it->second == op.val)) {
+    if (!((*write)->val == op->val)) {
       return {false, "L3 violated: read value does not match its tag's write: " +
-                         describe(op)};
+                         describe(*op)};
     }
   }
 
   // L1: precedence vs tag order (quadratic; fine for test-sized runs).
-  for (const auto& a : ops) {
-    for (const auto& b : ops) {
-      if (&a == &b || a.replied_at >= b.invoked_at) continue;  // not "a precedes b"
+  for (const tagged_op* a : ops) {
+    for (const tagged_op* b : ops) {
+      if (a == b || a->replied_at >= b->invoked_at) continue;  // not "a precedes b"
       // Without the read's write-back round, nothing anchors a read's tag at
       // a majority, so no condition with a read on the left holds.
-      if (a.is_read && !check_read_monotonicity) continue;
-      if (b.is_read) {
-        if (!(a.applied <= b.applied)) {
-          return {false, "L1(i) violated:\n  " + describe(a) + "\n  precedes\n  " +
-                             describe(b)};
+      if (a->is_read && !check_read_monotonicity) continue;
+      if (b->is_read) {
+        if (!(a->applied <= b->applied)) {
+          return {false, "L1(i) violated:\n  " + describe(*a) + "\n  precedes\n  " +
+                             describe(*b)};
         }
       } else {
-        if (!(a.applied < b.applied)) {
-          return {false, "L1(ii) violated:\n  " + describe(a) + "\n  precedes\n  " +
-                             describe(b)};
+        if (!(a->applied < b->applied)) {
+          return {false, "L1(ii) violated:\n  " + describe(*a) + "\n  precedes\n  " +
+                             describe(*b)};
         }
       }
     }
@@ -77,15 +89,34 @@ tag_order_result check_tag_order(const std::vector<tagged_op>& ops,
   return {true, ""};
 }
 
+}  // namespace
+
+tag_order_result check_tag_order(const std::vector<tagged_op>& ops,
+                                 bool check_read_monotonicity) {
+  std::vector<const tagged_op*> all;
+  all.reserve(ops.size());
+  for (const tagged_op& op : ops) all.push_back(&op);
+  return check_group(all, check_read_monotonicity);
+}
+
 tag_order_result check_tag_order_per_key(const std::vector<tagged_op>& ops,
                                          bool check_read_monotonicity) {
-  std::map<register_id, std::vector<tagged_op>> by_reg;
-  for (const auto& op : ops) by_reg[op.reg].push_back(op);
-  for (const auto& [reg, group] : by_reg) {
-    const auto res = check_tag_order(group, check_read_monotonicity);
+  // Group by register with one stable sort of pointers: groups come out in
+  // ascending register order, each keeping its operations' original order.
+  std::vector<const tagged_op*> sorted;
+  sorted.reserve(ops.size());
+  for (const tagged_op& op : ops) sorted.push_back(&op);
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const tagged_op* a, const tagged_op* b) { return a->reg < b->reg; });
+  const std::span<const tagged_op* const> all(sorted);
+  for (std::size_t lo = 0; lo < all.size();) {
+    std::size_t hi = lo;
+    while (hi < all.size() && all[hi]->reg == all[lo]->reg) ++hi;
+    const auto res = check_group(all.subspan(lo, hi - lo), check_read_monotonicity);
     if (!res.ok) {
-      return {false, "register " + std::to_string(reg) + ": " + res.explanation};
+      return {false, "register " + std::to_string(all[lo]->reg) + ": " + res.explanation};
     }
+    lo = hi;
   }
   return {true, ""};
 }

@@ -1,11 +1,11 @@
 #include "history/wellformed.h"
 
-#include <map>
+#include <vector>
 
 namespace remus::history {
 namespace {
 
-enum class pstate { idle, in_read, in_write, crashed };
+enum class pstate : std::uint8_t { idle, in_read, in_write, crashed };
 
 std::string where(std::size_t i, const event& e) {
   return "event " + std::to_string(i) + " (" + to_string(e) + ")";
@@ -14,13 +14,17 @@ std::string where(std::size_t i, const event& e) {
 }  // namespace
 
 wellformed_result check_well_formed(const history_log& h) {
-  std::map<std::uint32_t, pstate> st;
+  // Process ids are small dense integers (common/ids.h), so per-process
+  // state is a vector indexed by id; no_process names no process at all.
+  std::vector<pstate> st;
   time_ns prev = h.empty() ? 0 : h.front().at;
   for (std::size_t i = 0; i < h.size(); ++i) {
     const event& e = h[i];
     if (e.at < prev) return {false, "timestamps regress at " + where(i, e)};
     prev = e.at;
-    auto& s = st.try_emplace(e.p.index, pstate::idle).first->second;
+    if (!e.p.valid()) return {false, "invalid process at " + where(i, e)};
+    if (e.p.index >= st.size()) st.resize(std::size_t{e.p.index} + 1, pstate::idle);
+    pstate& s = st[e.p.index];
     switch (e.kind) {
       case event_kind::invoke_read:
         if (s != pstate::idle) return {false, "invocation while busy at " + where(i, e)};

@@ -69,6 +69,13 @@ TEST(WellFormed, InvocationWhileCrashedRejected) {
   EXPECT_FALSE(check_well_formed(b.log()).ok);
 }
 
+TEST(WellFormed, InvalidProcessRejected) {
+  const history_log h{event{event_kind::invoke_read, no_process, {}, 0}};
+  const auto r = check_well_formed(h);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.explanation.find("invalid process"), std::string::npos);
+}
+
 // ---------- Operation extraction ----------
 
 TEST(Operations, CompletedAndPending) {

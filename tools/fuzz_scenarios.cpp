@@ -15,9 +15,13 @@
 //   --runs N        scenarios to generate (default 1000)
 //   --seed S        campaign seed (default 1); all randomness derives from it
 //   --repro-out P   also write the repro line to file P on failure
-//   --inject K      plant bug K in every run (1 = drop_handoff_state,
-//                   2 = skip_read_writeback) — self-test that the fuzzer
-//                   catches and minimizes a real bug
+//   --inject K      plant bug K in every run. 1 = drop_handoff_state is
+//                   the self-test: the fuzzer catches and minimizes it.
+//                   2 = skip_read_writeback is NOT caught: window reads go
+//                   to the old shard until the key's handoff, and the
+//                   handoff imports the old shard's freshest state (every
+//                   replica's stable and volatile copy), so the skipped
+//                   write-back leaves no trace in any history
 //   --progress N    progress line every N runs (default 100; 0 = quiet)
 //   --corpus DIR    before the random campaign, replay every repro line in
 //                   DIR/*.repro (sorted by file name; '#' comments and blank
@@ -211,7 +215,9 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--runs N] [--seed S] [--repro-out PATH] "
-                   "[--inject K] [--progress N] [--corpus DIR]\n",
+                   "[--inject K] [--progress N] [--corpus DIR]\n"
+                   "  --inject 1 plants drop_handoff_state (caught); --inject 2\n"
+                   "  plants skip_read_writeback, which the key's handoff masks\n",
                    argv[0]);
       return 2;
     }
