@@ -11,7 +11,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -173,6 +175,93 @@ TEST(TcpTransport, LargeFramesArriveWholeAndInOrder) {
     EXPECT_EQ(seqs[i], i) << "frame order broke at " << i;
     EXPECT_EQ(sizes[i], i % 2 == 0 ? 200u * 1024u : 3u);
   }
+}
+
+TEST(TcpTransport, SimultaneousSendsBothDeliver) {
+  // Both processes send to each other at the same moment, so each side may
+  // open a connection while the other's is still being accepted.
+  const std::uint16_t base = probe_base_port(2);
+  tcp_transport a(tcp_opt(2, base, 0));
+  tcp_transport b(tcp_opt(2, base, 1));
+  std::atomic<int> got_a{0};
+  std::atomic<int> got_b{0};
+  a.attach(process_id{0}, [&](const proto::message&) { got_a += 1; });
+  b.attach(process_id{1}, [&](const proto::message&) { got_b += 1; });
+
+  constexpr int kFrames = 20;
+  std::atomic<bool> go{false};
+  auto sender = [&](tcp_transport& t, std::uint32_t from, std::uint32_t to) {
+    while (!go.load()) std::this_thread::yield();
+    proto::message m;
+    m.from = process_id{from};
+    for (int i = 0; i < kFrames; ++i) t.send(process_id{to}, m);
+  };
+  std::thread ta(sender, std::ref(a), 0u, 1u);
+  std::thread tb(sender, std::ref(b), 1u, 0u);
+  go = true;
+  ta.join();
+  tb.join();
+  wait_for(got_a, kFrames);
+  wait_for(got_b, kFrames);
+  EXPECT_EQ(got_a.load(), kFrames);
+  EXPECT_EQ(got_b.load(), kFrames);
+  EXPECT_EQ(a.datagrams_dropped(), 0u);
+  EXPECT_EQ(b.datagrams_dropped(), 0u);
+}
+
+TEST(TcpTransport, RebuiltPeerOnSamePortIsReachedAgain) {
+  // A peer's transport is destroyed and a new one is bound to the same port
+  // (a replica rebuilt from its WAL). The sender's old connection dies with
+  // the first instance; a bounded number of retries reaches the new one.
+  const std::uint16_t base = probe_base_port(2);
+  tcp_transport a(tcp_opt(2, base, 0));
+  proto::message m;
+  m.from = process_id{0};
+
+  auto b = std::make_unique<tcp_transport>(tcp_opt(2, base, 1));
+  std::atomic<int> got_old{0};
+  b->attach(process_id{1}, [&](const proto::message&) { got_old += 1; });
+  a.send(process_id{1}, m);
+  wait_for(got_old, 1);
+  ASSERT_EQ(got_old.load(), 1);
+  b.reset();
+
+  b = std::make_unique<tcp_transport>(tcp_opt(2, base, 1));
+  std::atomic<int> got_new{0};
+  b->attach(process_id{1}, [&](const proto::message&) { got_new += 1; });
+  int tries = 0;
+  for (; tries < 300 && got_new.load() == 0; ++tries) {
+    a.send(process_id{1}, m);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GT(got_new.load(), 0) << "rebuilt peer never reached after " << tries << " sends";
+  b.reset();
+}
+
+TEST(TcpTransport, ChainedSelfSendsFromHandlerDoNotWaitForTheTimeout) {
+  // A handler that sends to its own process again must see the next frame
+  // promptly, not on the epoll thread's idle timeout (20 ms per hop).
+  const std::uint16_t base = probe_base_port(1);
+  tcp_transport t(tcp_opt(1, base, 0));
+  constexpr int kHops = 500;
+  std::atomic<int> got{0};
+  t.attach(process_id{0}, [&](const proto::message& m) {
+    got += 1;
+    if (m.op_seq + 1 < kHops) {
+      proto::message next = m;
+      next.op_seq += 1;
+      t.send(process_id{0}, next);
+    }
+  });
+  proto::message m;
+  m.from = process_id{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  t.send(process_id{0}, m);
+  wait_for(got, kHops, 10000);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(got.load(), kHops);
+  // 500 hops at the 20 ms timeout would take 10 s.
+  EXPECT_LT(elapsed, std::chrono::milliseconds(2500));
 }
 
 // ---------- A real quorum over the kernel's wire ----------
