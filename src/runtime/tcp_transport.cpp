@@ -19,7 +19,7 @@ namespace remus::runtime {
 namespace {
 
 // epoll_event.data.u64 encoding: what kind of fd fired, and which one.
-enum class fd_kind : std::uint32_t { listener = 0, wake = 1, peer = 2, conn = 3 };
+enum class fd_kind : std::uint32_t { listener = 0, wake = 1, conn = 2 };
 
 std::uint64_t tag(fd_kind k, std::uint32_t v) {
   return (static_cast<std::uint64_t>(k) << 32) | v;
@@ -27,13 +27,42 @@ std::uint64_t tag(fd_kind k, std::uint32_t v) {
 
 constexpr auto reconnect_backoff = std::chrono::milliseconds(50);
 
-void append_frame(bytes& out, const bytes& wire) {
-  const auto len = static_cast<std::uint32_t>(wire.size());
-  out.push_back(static_cast<std::uint8_t>(len & 0xff));
-  out.push_back(static_cast<std::uint8_t>((len >> 8) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((len >> 16) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((len >> 24) & 0xff));
+/// The transport whose epoll thread is running on this thread, if any.
+thread_local const void* tl_loop_owner = nullptr;
+
+void put_u32_le(std::uint8_t* out, std::uint32_t v) {
+  out[0] = static_cast<std::uint8_t>(v & 0xff);
+  out[1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
+  out[2] = static_cast<std::uint8_t>((v >> 16) & 0xff);
+  out[3] = static_cast<std::uint8_t>((v >> 24) & 0xff);
+}
+
+std::uint32_t get_u32_le(const std::uint8_t* in) {
+  return static_cast<std::uint32_t>(in[0]) | (static_cast<std::uint32_t>(in[1]) << 8) |
+         (static_cast<std::uint32_t>(in[2]) << 16) | (static_cast<std::uint32_t>(in[3]) << 24);
+}
+
+void append_frame(bytes& out, std::span<const std::uint8_t> wire) {
+  std::uint8_t hdr[4];
+  put_u32_le(hdr, static_cast<std::uint32_t>(wire.size()));
+  out.insert(out.end(), hdr, hdr + 4);
   out.insert(out.end(), wire.begin(), wire.end());
+}
+
+/// Calls `deliver` on every whole frame at the front of `in` and returns the
+/// bytes consumed, or SIZE_MAX when a frame's length exceeds `max_len`.
+template <typename F>
+std::size_t for_each_frame(std::span<const std::uint8_t> in, std::uint32_t max_len,
+                           F&& deliver) {
+  std::size_t off = 0;
+  while (in.size() - off >= 4) {
+    const std::uint32_t len = get_u32_le(in.data() + off);
+    if (len > max_len) return SIZE_MAX;
+    if (in.size() - off - 4 < len) break;
+    deliver(in.subspan(off + 4, len));
+    off += 4 + static_cast<std::size_t>(len);
+  }
+  return off;
 }
 
 sockaddr_in loopback_addr(std::uint16_t port) {
@@ -43,6 +72,8 @@ sockaddr_in loopback_addr(std::uint16_t port) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   return addr;
 }
+
+bool would_block(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
 
 }  // namespace
 
@@ -88,17 +119,10 @@ tcp_transport::tcp_transport(tcp_transport_options opt) : opt_(opt) {
 }
 
 tcp_transport::~tcp_transport() {
-  {
-    std::lock_guard lk(mu_);
-    stop_ = true;
-  }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  stop_ = true;
+  wake();
   loop_thread_.join();
-  for (peer_state& ps : peers_) {
-    if (ps.fd >= 0) ::close(ps.fd);
-  }
-  for (auto& [fd, c] : conns_) ::close(fd);
+  for (auto& [id, c] : conns_) ::close(c.fd);
   ::close(listen_fd_);
   ::close(wake_fd_);
   ::close(epoll_fd_);
@@ -114,38 +138,31 @@ void tcp_transport::detach(process_id p) {
   handlers_.erase(p.index);
 }
 
+void tcp_transport::wake() {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+}
+
 void tcp_transport::send(process_id to, const proto::message& m) {
   const bytes wire = proto::encode(m);
-  bool wake = false;
+  const bool on_loop = tl_loop_owner == this;
+  bool need_wake = false;
   {
     std::lock_guard lk(mu_);
-    ++sent_;
-    if (!to.valid() || to.index >= opt_.n) {
-      ++dropped_;
-      return;
-    }
-    if (to.index == opt_.self) {
-      self_queue_.push_back(wire);
-      wake = true;
-    } else {
-      peer_state& ps = peers_[to.index];
-      if (ps.pending.size() + wire.size() + 4 > opt_.max_pending_bytes) {
-        ++dropped_;  // backpressure: drop the whole frame, never block
-        return;
-      }
-      append_frame(ps.pending, wire);
-      ps.pending_frames += 1;
-      wake = true;
-    }
+    enqueue_locked(to.valid() ? to.index : opt_.n, wire, on_loop, need_wake);
   }
-  if (wake) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  }
+  if (need_wake) wake();
 }
 
 void tcp_transport::broadcast(std::uint32_t n, const proto::message& m) {
-  for (std::uint32_t i = 0; i < n; ++i) send(process_id{i}, m);
+  const bytes wire = proto::encode(m);
+  const bool on_loop = tl_loop_owner == this;
+  bool need_wake = false;
+  {
+    std::lock_guard lk(mu_);
+    for (std::uint32_t i = 0; i < n; ++i) enqueue_locked(i, wire, on_loop, need_wake);
+  }
+  if (need_wake) wake();
 }
 
 std::uint64_t tcp_transport::datagrams_sent() const {
@@ -158,77 +175,187 @@ std::uint64_t tcp_transport::datagrams_dropped() const {
   return dropped_;
 }
 
-void tcp_transport::drop_peer_connection(peer_state& ps) {
-  // Caller holds mu_. Everything buffered rides the dead connection down —
-  // the stream's delivery-or-not is all-or-nothing per frame from the
-  // protocol's point of view, and retransmission recovers.
-  if (ps.fd >= 0) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, ps.fd, nullptr);
-    ::close(ps.fd);
-    ps.fd = -1;
+void tcp_transport::enqueue_locked(std::uint32_t to, std::span<const std::uint8_t> wire,
+                                   bool on_loop, bool& wake) {
+  ++sent_;
+  if (to >= opt_.n) {
+    ++dropped_;
+    return;
   }
-  ps.connecting = false;
+  if (to == opt_.self) {
+    // The epoll thread drains its own self-sends before it sleeps again.
+    if (!on_loop && self_pending_.empty()) wake = true;
+    append_frame(self_pending_, wire);
+    return;
+  }
+  peer_state& ps = peers_[to];
+  if (ps.pending.size() + wire.size() + 4 > opt_.max_pending_bytes) {
+    ++dropped_;  // backpressure: drop the whole frame, never block
+    return;
+  }
+  const bool was_empty = ps.pending.empty();
+  append_frame(ps.pending, wire);
+  ps.pending_frames += 1;
+  if (on_loop) return;  // written once the event batch is done
+  if (ps.route != nullptr && !ps.route->connecting && !ps.out_armed) {
+    flush_locked(ps);  // straight to the socket, behind any queued replies
+  } else if (ps.route == nullptr && was_empty) {
+    wake = true;  // the epoll thread adopts or opens a connection
+  }
+}
+
+void tcp_transport::set_out_interest_locked(peer_state& ps, bool want) {
+  if (ps.out_armed == want) return;
+  ps.out_armed = want;
+  epoll_event ev{};
+  ev.events = EPOLLIN | (want ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
+  ev.data.u64 = tag(fd_kind::conn, ps.route->id);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, ps.route->fd, &ev);
+}
+
+void tcp_transport::flush_locked(peer_state& ps) {
+  std::size_t off = 0;
+  while (off < ps.pending.size()) {
+    const ssize_t n = ::send(ps.route->fd, ps.pending.data() + off, ps.pending.size() - off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && would_block(errno)) break;
+    fail_route_locked(ps);
+    return;
+  }
+  if (off == ps.pending.size()) {
+    ps.pending.clear();
+    ps.pending_frames = 0;
+  } else {
+    ps.pending.erase(ps.pending.begin(), ps.pending.begin() + static_cast<std::ptrdiff_t>(off));
+  }
+  set_out_interest_locked(ps, !ps.pending.empty());
+}
+
+void tcp_transport::fail_route_locked(peer_state& ps) {
+  // Everything queued rides the dead connection down — delivery is
+  // all-or-nothing per frame from the protocol's point of view, and
+  // retransmission recovers. The epoll thread closes the socket when its
+  // hang-up is reported; until then no sender may touch it.
+  ::shutdown(ps.route->fd, SHUT_RDWR);
+  ps.route->dead = true;
+  if (ps.better == ps.route) ps.better = nullptr;
+  ps.route = nullptr;
+  ps.out_armed = false;
   dropped_ += ps.pending_frames;
   ps.pending.clear();
   ps.pending_frames = 0;
   ps.next_attempt = std::chrono::steady_clock::now() + reconnect_backoff;
 }
 
-void tcp_transport::ensure_connected(peer_state& ps, std::uint32_t idx) {
-  // Caller holds mu_; only the loop thread calls this.
-  if (ps.fd >= 0 || ps.pending.empty()) return;
+bool tcp_transport::preferred(const conn& c) const {
+  // Of two connections to one peer, the one the lower index opened.
+  return c.outbound == (opt_.self < c.peer);
+}
+
+void tcp_transport::adopt_locked(std::uint32_t peer) {
+  peer_state& ps = peers_[peer];
+  conn* best = nullptr;
+  for (auto& [id, c] : conns_) {
+    if (c.peer != peer || c.dead || c.connecting) continue;
+    if (best == nullptr || (preferred(c) && !preferred(*best))) best = &c;
+  }
+  ps.route = best;
+  ps.better = nullptr;
+}
+
+void tcp_transport::connect_locked(std::uint32_t peer) {
+  peer_state& ps = peers_[peer];
   if (std::chrono::steady_clock::now() < ps.next_attempt) return;
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    drop_peer_connection(ps);
+  const sockaddr_in addr = loopback_addr(static_cast<std::uint16_t>(opt_.base_port + peer));
+  int rc = -1;
+  if (fd >= 0) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  }
+  if (fd < 0 || (rc != 0 && errno != EINPROGRESS)) {
+    if (fd >= 0) ::close(fd);  // refused: peer not up yet; backoff applies
+    dropped_ += ps.pending_frames;
+    ps.pending.clear();
+    ps.pending_frames = 0;
+    ps.next_attempt = std::chrono::steady_clock::now() + reconnect_backoff;
     return;
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  const sockaddr_in addr =
-      loopback_addr(static_cast<std::uint16_t>(opt_.base_port + idx));
-  const int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  if (rc == 0 || errno == EINPROGRESS) {
-    ps.fd = fd;
-    ps.connecting = rc != 0;
-    epoll_event ev{};
-    ev.events = EPOLLOUT;
-    ev.data.u64 = tag(fd_kind::peer, idx);
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    if (!ps.connecting) flush_peer(ps, idx);
-  } else {
-    ::close(fd);
-    drop_peer_connection(ps);  // refused: peer not up yet; backoff applies
-  }
-}
-
-void tcp_transport::flush_peer(peer_state& ps, std::uint32_t idx) {
-  // Caller holds mu_; only the loop thread calls this.
-  while (!ps.pending.empty()) {
-    const ssize_t n = ::write(ps.fd, ps.pending.data(), ps.pending.size());
-    if (n > 0) {
-      ps.pending.erase(ps.pending.begin(), ps.pending.begin() + n);
-      if (ps.pending.empty()) ps.pending_frames = 0;
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    drop_peer_connection(ps);
-    return;
-  }
+  const std::uint32_t id = next_conn_id_++;
+  conn& c = conns_[id];
+  c.fd = fd;
+  c.id = id;
+  c.peer = peer;
+  c.outbound = true;
+  c.connecting = rc != 0;
   epoll_event ev{};
-  ev.events = ps.pending.empty() ? 0u : static_cast<std::uint32_t>(EPOLLOUT);
-  ev.data.u64 = tag(fd_kind::peer, idx);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, ps.fd, &ev);
+  ev.events = EPOLLIN;
+  ev.data.u64 = tag(fd_kind::conn, id);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+  ps.route = &c;
+  ps.out_armed = false;
+  // The hello goes ahead of every queued frame; nothing is partly written.
+  std::uint8_t hello[4];
+  put_u32_le(hello, opt_.self);
+  ps.pending.insert(ps.pending.begin(), hello, hello + 4);
+  if (c.connecting) {
+    set_out_interest_locked(ps, true);  // completion reports EPOLLOUT
+  } else {
+    flush_locked(ps);
+  }
 }
 
-void tcp_transport::close_conn(int fd) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
+void tcp_transport::service_peers_locked() {
+  for (std::uint32_t p = 0; p < opt_.n; ++p) {
+    peer_state& ps = peers_[p];
+    if (ps.better != nullptr && ps.pending.empty()) {
+      ps.route = ps.better;
+      ps.better = nullptr;
+    }
+    if (ps.pending.empty()) continue;
+    if (ps.route == nullptr) {
+      adopt_locked(p);
+      if (ps.route == nullptr) {
+        connect_locked(p);
+        continue;
+      }
+    }
+    if (!ps.route->connecting && !ps.out_armed) flush_locked(ps);
+  }
+}
+
+void tcp_transport::close_conn(conn& c) {
+  // Unrouted under mu_ before the fd is closed, so no sender can write to
+  // it (or to whatever socket reuses its number) afterwards.
+  const std::uint32_t peer = c.peer;
   std::lock_guard lk(mu_);
-  conns_.erase(fd);
+  bool was_route = false;
+  if (peer != no_peer) {
+    peer_state& ps = peers_[peer];
+    if (ps.better == &c) ps.better = nullptr;
+    if (ps.route == &c) {
+      dropped_ += ps.pending_frames;
+      ps.pending.clear();
+      ps.pending_frames = 0;
+      ps.out_armed = false;
+      ps.next_attempt = std::chrono::steady_clock::now() + reconnect_backoff;
+      ps.route = nullptr;
+      was_route = true;
+    }
+  }
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.fd, nullptr);
+  ::close(c.fd);
+  conns_.erase(c.id);
+  if (was_route) adopt_locked(peer);
 }
 
-void tcp_transport::deliver_frame(const bytes& wire) {
+void tcp_transport::deliver_frame(std::span<const std::uint8_t> wire) {
   handler h;
   {
     std::lock_guard lk(mu_);
@@ -246,129 +373,155 @@ void tcp_transport::deliver_frame(const bytes& wire) {
   }
 }
 
-void tcp_transport::read_conn(int fd) {
-  bytes* buf;
-  {
+bool tcp_transport::consume(conn& c, std::span<const std::uint8_t> data) {
+  // Frames are decoded where they lie: in the read chunk itself when no
+  // partial frame is buffered, else in the connection's reassembly buffer.
+  const bool buffered = !c.buf.empty();
+  if (buffered) c.buf.insert(c.buf.end(), data.begin(), data.end());
+  const std::span<const std::uint8_t> in = buffered ? std::span<const std::uint8_t>(c.buf) : data;
+  std::size_t off = 0;
+  if (c.peer == no_peer) {
+    if (in.size() < 4) {
+      if (!buffered) c.buf.assign(in.begin(), in.end());
+      return true;
+    }
+    const std::uint32_t peer = get_u32_le(in.data());
+    if (peer == opt_.self || peer >= opt_.n) {
+      close_conn(c);
+      return false;
+    }
+    c.peer = peer;
+    off = 4;
     std::lock_guard lk(mu_);
-    const auto it = conns_.find(fd);
-    if (it == conns_.end()) return;
-    buf = &it->second.buf;
+    peer_state& ps = peers_[peer];
+    if (ps.route == nullptr) {
+      ps.route = &c;
+    } else if (preferred(c) && !preferred(*ps.route)) {
+      ps.better = &c;
+    }
   }
-  // Only the loop thread touches conn buffers after insertion, so reading
-  // *buf without the lock is single-threaded.
+  const std::size_t used = for_each_frame(in.subspan(off), opt_.max_frame_bytes,
+                                          [this](std::span<const std::uint8_t> wire) {
+                                            deliver_frame(wire);
+                                          });
+  if (used == SIZE_MAX) {
+    close_conn(c);  // desynced or hostile stream
+    return false;
+  }
+  off += used;
+  if (buffered) {
+    c.buf.erase(c.buf.begin(), c.buf.begin() + static_cast<std::ptrdiff_t>(off));
+  } else {
+    c.buf.assign(in.begin() + static_cast<std::ptrdiff_t>(off), in.end());
+  }
+  return true;
+}
+
+bool tcp_transport::read_conn(conn& c) {
   std::uint8_t chunk[64 * 1024];
   for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    const ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
     if (n > 0) {
-      buf->insert(buf->end(), chunk, chunk + n);
+      if (!consume(c, std::span<const std::uint8_t>(chunk, static_cast<std::size_t>(n)))) {
+        return false;
+      }
+      // A short read drained the socket; level-triggered epoll reports more.
+      if (static_cast<std::size_t>(n) < sizeof(chunk)) return true;
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    close_conn(fd);  // EOF or error; any partial frame dies with the stream
-    return;
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && would_block(errno)) return true;
+    close_conn(c);  // EOF or error; any partial frame dies with the stream
+    return false;
   }
-  std::size_t off = 0;
-  while (buf->size() - off >= 4) {
-    const std::uint32_t len = static_cast<std::uint32_t>((*buf)[off]) |
-                              (static_cast<std::uint32_t>((*buf)[off + 1]) << 8) |
-                              (static_cast<std::uint32_t>((*buf)[off + 2]) << 16) |
-                              (static_cast<std::uint32_t>((*buf)[off + 3]) << 24);
-    if (len > opt_.max_frame_bytes) {
-      close_conn(fd);  // desynced or hostile stream
+}
+
+void tcp_transport::on_conn_event(conn& c, std::uint32_t events) {
+  if (c.connecting) {
+    int err = 0;
+    socklen_t len = sizeof(err);
+    ::getsockopt(c.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+    if (err != 0 || (events & (EPOLLERR | EPOLLHUP)) != 0) {
+      close_conn(c);
       return;
     }
-    if (buf->size() - off - 4 < len) break;
-    const bytes frame(buf->begin() + off + 4, buf->begin() + off + 4 + len);
-    off += 4 + len;
-    deliver_frame(frame);
+    std::lock_guard lk(mu_);
+    c.connecting = false;
+    peer_state& ps = peers_[c.peer];
+    if (ps.route == &c) flush_locked(ps);
+    return;
   }
-  if (off > 0) buf->erase(buf->begin(), buf->begin() + off);
+  if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0 && !read_conn(c)) return;
+  if ((events & EPOLLOUT) != 0 && c.peer != no_peer) {
+    std::lock_guard lk(mu_);
+    peer_state& ps = peers_[c.peer];
+    if (ps.route == &c) flush_locked(ps);
+  }
+}
+
+void tcp_transport::accept_all() {
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) return;
+    // Accepted sockets carry replies too; Nagle would hold them back.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    const std::uint32_t id = next_conn_id_++;
+    conn& c = conns_[id];
+    c.fd = fd;
+    c.id = id;
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = tag(fd_kind::conn, id);
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+  }
 }
 
 void tcp_transport::drain_self_queue() {
-  std::vector<bytes> frames;
-  {
-    std::lock_guard lk(mu_);
-    frames.swap(self_queue_);
+  // Loops until empty: handlers may send to this process again.
+  for (;;) {
+    {
+      std::lock_guard lk(mu_);
+      if (self_pending_.empty()) return;
+      self_batch_.swap(self_pending_);
+    }
+    (void)for_each_frame(self_batch_, UINT32_MAX,
+                         [this](std::span<const std::uint8_t> wire) { deliver_frame(wire); });
+    self_batch_.clear();
   }
-  for (const bytes& wire : frames) deliver_frame(wire);
 }
 
 void tcp_transport::loop() {
+  tl_loop_owner = this;
   epoll_event events[64];
   for (;;) {
     // The timeout drives reconnect backoff expiry; nothing else is timed.
     const int nev = ::epoll_wait(epoll_fd_, events, 64, 20);
-    {
-      std::lock_guard lk(mu_);
-      if (stop_) return;
-    }
+    if (stop_) return;
     for (int i = 0; i < nev; ++i) {
       const auto kind = static_cast<fd_kind>(events[i].data.u64 >> 32);
-      const auto idx = static_cast<std::uint32_t>(events[i].data.u64);
+      const auto id = static_cast<std::uint32_t>(events[i].data.u64);
       switch (kind) {
-        case fd_kind::listener: {
-          for (;;) {
-            const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                                     SOCK_NONBLOCK | SOCK_CLOEXEC);
-            if (fd < 0) break;
-            {
-              std::lock_guard lk(mu_);
-              conns_[fd] = conn_state{fd, {}};
-            }
-            epoll_event ev{};
-            ev.events = EPOLLIN;
-            ev.data.u64 = tag(fd_kind::conn, static_cast<std::uint32_t>(fd));
-            ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-          }
+        case fd_kind::listener:
+          accept_all();
           break;
-        }
         case fd_kind::wake: {
           std::uint64_t val;
-          while (::read(wake_fd_, &val, sizeof(val)) > 0) {
-          }
+          [[maybe_unused]] ssize_t n = ::read(wake_fd_, &val, sizeof(val));
           break;
         }
-        case fd_kind::peer: {
-          std::lock_guard lk(mu_);
-          peer_state& ps = peers_[idx];
-          if (ps.fd < 0) break;  // dropped since the event was queued
-          if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
-            drop_peer_connection(ps);
-            break;
-          }
-          if (ps.connecting) {
-            int err = 0;
-            socklen_t len = sizeof(err);
-            ::getsockopt(ps.fd, SOL_SOCKET, SO_ERROR, &err, &len);
-            if (err != 0) {
-              drop_peer_connection(ps);
-              break;
-            }
-            ps.connecting = false;
-          }
-          flush_peer(ps, idx);
+        case fd_kind::conn: {
+          const auto it = conns_.find(id);
+          if (it != conns_.end()) on_conn_event(it->second, events[i].events);
           break;
         }
-        case fd_kind::conn:
-          read_conn(static_cast<int>(idx));
-          break;
       }
     }
     drain_self_queue();
-    // Kick pending outbound legs: fresh sends (woken above) and expired
-    // reconnect backoffs alike.
-    {
-      std::lock_guard lk(mu_);
-      for (std::uint32_t p = 0; p < opt_.n; ++p) {
-        peer_state& ps = peers_[p];
-        if (ps.fd < 0) {
-          ensure_connected(ps, p);
-        } else if (!ps.connecting && !ps.pending.empty()) {
-          flush_peer(ps, p);
-        }
-      }
-    }
+    // Write what handlers queued, open or adopt connections for peers with
+    // queued frames, and retry connects whose backoff expired.
+    std::lock_guard lk(mu_);
+    service_peers_locked();
   }
 }
 

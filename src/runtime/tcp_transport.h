@@ -2,34 +2,53 @@
 // onto an actual network stack.
 //
 // One tcp_transport instance serves one process of an n-process group.
-// Process i listens on 127.0.0.1:(base_port + i); sends lazily open a
-// non-blocking connection to the peer's port. Frames are length-prefixed
-// proto::encode images ([u32 LE length][payload]), so the same codec that
-// crosses the simulated wire crosses the kernel's.
+// Process i listens on 127.0.0.1:(base_port + i). Frames are
+// length-prefixed proto::encode images ([u32 LE length][payload]), so the
+// same codec that crosses the simulated wire crosses the kernel's.
+//
+// One connection per process pair, carrying frames both ways. A process
+// connects to a peer only when it has frames for it and no connection to
+// that peer exists; the connecting side first writes a hello, its own
+// process index as a u32 LE, and the accepting side learns the peer from
+// it (a hello naming the receiver itself or an index >= n closes the
+// connection). Either side then sends on that one routed connection, so a
+// reply rides back on the connection its request came in on and carries
+// the kernel's ACK for it. If both ends connect at once, both connections
+// stay readable; the route prefers the one opened by the lower index and
+// switches only while nothing is queued, so a frame never splits across
+// streams. When the routed connection dies, another live connection to
+// that peer is adopted if there is one.
 //
 // Datagram semantics over a stream: the quorum protocol assumes fair-lossy
 // messaging and owns reliability (retransmission, epoch nonces), so this
 // transport deliberately keeps UDP-shaped delivery guarantees — a frame
 // either arrives whole or not at all, and is dropped without notice when
 //   * the peer is not listening yet / anymore (connect fails, connection
-//     resets — everything buffered on that connection goes with it),
-//   * the peer's outbound buffer is full (bounded per-peer pending bytes),
+//     resets — everything queued for that connection goes with it),
+//   * the peer's outbound queue is full (bounded per-peer pending bytes),
 //   * the receiving process has no handler attached (crashed node).
 // Reconnection is automatic with a short backoff; the protocol's
 // retransmission machinery papers over every loss, exactly as it does over
 // the simulator's coin-flip drops.
 //
-// Threading: one epoll thread per transport owns every socket. send() only
-// appends to a per-peer buffer under a mutex and wakes the epoll thread via
-// eventfd; handlers run on the epoll thread (the `transport` contract).
-// Self-sends take the same path — queued, woken, delivered asynchronously —
-// so delivery order to the local handler never depends on who sent.
+// Threading: one epoll thread per transport runs every handler (the
+// `transport` contract) and is the only thread that opens or closes a
+// socket. A send() from another thread writes straight to the routed
+// socket when nothing is queued for that peer, and otherwise queues behind
+// the earlier frames; a thread whose write fails only shuts the socket down
+// and unroutes the peer. Sends made by handlers are queued and written once
+// the epoll thread's event batch is done, so replies to one peer share a
+// write and cost no wake-up. Self-sends are always queued and delivered
+// asynchronously on the epoll thread, so delivery order to the local
+// handler never depends on who sent. Socket writes never raise SIGPIPE.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -69,43 +88,66 @@ class tcp_transport final : public transport {
   [[nodiscard]] std::uint64_t datagrams_dropped() const override;
 
  private:
-  /// Outbound leg to one peer. All fields owned by the epoll thread except
-  /// `pending`, which send() appends to under mu_.
-  struct peer_state {
+  static constexpr std::uint32_t no_peer = ~0u;
+
+  /// One socket to a peer, opened by either side. Created, read and closed
+  /// only by the epoll thread; `connecting` and `dead` are also read by
+  /// sending threads and change only under mu_.
+  struct conn {
     int fd = -1;
-    bool connecting = false;
-    bytes pending;  // queued frames, possibly partially written
+    std::uint32_t id = 0;          // epoll tag; never reused, unlike fds
+    std::uint32_t peer = no_peer;  // accepted sockets learn it from the hello
+    bool outbound = false;         // this process opened it
+    bool connecting = false;       // non-blocking connect still in flight
+    bool dead = false;             // shut down by a failed write; awaiting close
+    bytes buf;                     // inbound bytes short of a whole frame
+  };
+  /// Outbound state for one peer, guarded by mu_.
+  struct peer_state {
+    conn* route = nullptr;   // the connection this peer's frames go out on
+    conn* better = nullptr;  // preferred connection to switch to once idle
+    bool out_armed = false;  // EPOLLOUT registered on route
+    bytes pending;           // queued frames, possibly partially written
     std::uint32_t pending_frames = 0;
     std::chrono::steady_clock::time_point next_attempt{};
   };
-  /// Inbound connection (accepted); reassembles frames.
-  struct conn_state {
-    int fd = -1;
-    bytes buf;
-  };
 
   void loop();
-  void ensure_connected(peer_state& ps, std::uint32_t idx);
-  void flush_peer(peer_state& ps, std::uint32_t idx);
-  void drop_peer_connection(peer_state& ps);
-  void read_conn(int fd);
-  void close_conn(int fd);
-  void deliver_frame(const bytes& wire);
+  void enqueue_locked(std::uint32_t to, std::span<const std::uint8_t> wire, bool on_loop,
+                      bool& wake);
+  void flush_locked(peer_state& ps);
+  void set_out_interest_locked(peer_state& ps, bool want);
+  void fail_route_locked(peer_state& ps);
+  void adopt_locked(std::uint32_t peer);
+  void connect_locked(std::uint32_t peer);
+  void service_peers_locked();
+  [[nodiscard]] bool preferred(const conn& c) const;
+  void accept_all();
+  void on_conn_event(conn& c, std::uint32_t events);
+  bool read_conn(conn& c);
+  bool consume(conn& c, std::span<const std::uint8_t> data);
+  void close_conn(conn& c);
+  void deliver_frame(std::span<const std::uint8_t> wire);
   void drain_self_queue();
+  void wake();
 
   tcp_transport_options opt_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
+  std::atomic<bool> stop_{false};
+
+  std::map<std::uint32_t, conn> conns_;  // by id; epoll thread only
+  std::uint32_t next_conn_id_ = 0;       // epoll thread only
+  bytes self_batch_;                     // epoll thread only: frames being delivered
 
   mutable std::mutex mu_;
   std::map<std::uint32_t, handler> handlers_;
-  std::vector<peer_state> peers_;      // indexed by process
-  std::map<int, conn_state> conns_;    // accepted fds
-  std::vector<bytes> self_queue_;      // frames to self, drained by the loop
+  std::vector<peer_state> peers_;  // indexed by process
+  bytes self_pending_;             // framed self-sends, drained by the loop
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
-  bool stop_ = false;
+
   std::thread loop_thread_;
 };
 

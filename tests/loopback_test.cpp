@@ -264,6 +264,156 @@ TEST(TcpTransport, ChainedSelfSendsFromHandlerDoNotWaitForTheTimeout) {
   EXPECT_LT(elapsed, std::chrono::milliseconds(2500));
 }
 
+// ---------- The wire protocol, driven from raw sockets ----------
+
+/// A blocking socket connected to 127.0.0.1:port, with a receive timeout.
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval tv{};
+  tv.tv_sec = 3;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+void put_u32(bytes& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+/// The hello naming `from`, then `m` as one length-prefixed frame.
+bytes hello_and_frame(std::uint32_t from, const proto::message& m) {
+  bytes out;
+  put_u32(out, from);
+  const bytes wire = proto::encode(m);
+  put_u32(out, static_cast<std::uint32_t>(wire.size()));
+  out.insert(out.end(), wire.begin(), wire.end());
+  return out;
+}
+
+/// Reads exactly `len` bytes; false on EOF, error or timeout.
+bool read_exact(int fd, std::uint8_t* out, std::size_t len) {
+  while (len > 0) {
+    const ssize_t n = ::read(fd, out, len);
+    if (n <= 0) return false;
+    out += n;
+    len -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+TEST(TcpWire, ReplyComesBackOnTheRequestConnection) {
+  // A raw socket plays process 0; nothing listens on process 0's port, so
+  // process 1's reply can only arrive on the connection the request used.
+  const std::uint16_t base = probe_base_port(2);
+  tcp_transport b(tcp_opt(2, base, 1));
+  b.attach(process_id{1}, [&](const proto::message& m) {
+    proto::message reply = m;
+    reply.kind = proto::msg_kind::sn_ack;
+    reply.from = process_id{1};
+    b.send(m.from, reply);
+  });
+
+  const int fd = raw_connect(static_cast<std::uint16_t>(base + 1));
+  ASSERT_GE(fd, 0);
+  proto::message m;
+  m.kind = proto::msg_kind::sn_query;
+  m.from = process_id{0};
+  m.op_seq = 77;
+  const bytes out = hello_and_frame(0, m);
+  ASSERT_EQ(::write(fd, out.data(), out.size()), static_cast<ssize_t>(out.size()));
+
+  std::uint8_t hdr[4];
+  ASSERT_TRUE(read_exact(fd, hdr, 4));
+  const std::uint32_t len = static_cast<std::uint32_t>(hdr[0]) |
+                            (static_cast<std::uint32_t>(hdr[1]) << 8) |
+                            (static_cast<std::uint32_t>(hdr[2]) << 16) |
+                            (static_cast<std::uint32_t>(hdr[3]) << 24);
+  ASSERT_LT(len, 1u << 16);
+  bytes wire(len);
+  ASSERT_TRUE(read_exact(fd, wire.data(), len));
+  const proto::message reply = proto::decode_message(wire);
+  EXPECT_EQ(reply.kind, proto::msg_kind::sn_ack);
+  EXPECT_EQ(reply.from, process_id{1});
+  EXPECT_EQ(reply.op_seq, 77u);
+  ::close(fd);
+}
+
+TEST(TcpWire, BadHelloClosesTheConnection) {
+  // A hello naming the receiver itself or an index outside the group is
+  // refused: the connection is closed and the frame behind it never arrives.
+  const std::uint16_t base = probe_base_port(2);
+  tcp_transport b(tcp_opt(2, base, 1));
+  std::atomic<int> got{0};
+  b.attach(process_id{1}, [&](const proto::message&) { got += 1; });
+  for (const std::uint32_t from : {1u, 2u, 0xffffffffu}) {
+    const int fd = raw_connect(static_cast<std::uint16_t>(base + 1));
+    ASSERT_GE(fd, 0);
+    proto::message m;
+    m.from = process_id{0};
+    const bytes out = hello_and_frame(from, m);
+    ASSERT_EQ(::write(fd, out.data(), out.size()), static_cast<ssize_t>(out.size()));
+    std::uint8_t byte = 0;
+    const ssize_t n = ::read(fd, &byte, 1);  // EOF or reset, not the timeout
+    EXPECT_TRUE(n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK))
+        << "hello " << from << " kept the connection open";
+    ::close(fd);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(got.load(), 0);
+}
+
+TEST(TcpWire, ResetPeerCostsFramesNotTheProcess) {
+  // Process 1 dies under an open connection: a listener on its port accepts,
+  // resets the connection (SO_LINGER {1, 0}) and stops listening. A write to
+  // a reset socket raises SIGPIPE unless the transport suppresses it; the
+  // sender must survive and count the frames it can no longer deliver.
+  const std::uint16_t base = probe_base_port(2);
+  const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  ASSERT_GE(lfd, 0);
+  int one = 1;
+  ::setsockopt(lfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(base + 1));
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 16), 0);
+  std::thread resetter([&] {
+    int fd = -1;
+    for (int i = 0; i < 3000 && fd < 0; ++i) {
+      fd = ::accept(lfd, nullptr, nullptr);
+      if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (fd >= 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      linger lg{1, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+      ::close(fd);
+    }
+    ::close(lfd);
+  });
+
+  tcp_transport a(tcp_opt(2, base, 0));
+  proto::message m;
+  m.from = process_id{0};
+  for (int i = 0; i < 100; ++i) {
+    a.send(process_id{1}, m);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  resetter.join();
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_EQ(a.datagrams_sent(), 100u);
+  EXPECT_GE(a.datagrams_dropped(), 50u);
+}
+
 // ---------- A real quorum over the kernel's wire ----------
 
 TEST(TcpQuorum, WriteReadCrashRecoverStaysAtomic) {
