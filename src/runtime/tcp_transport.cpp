@@ -334,6 +334,7 @@ void tcp_transport::close_conn(conn& c) {
   // Unrouted under mu_ before the fd is closed, so no sender can write to
   // it (or to whatever socket reuses its number) afterwards.
   const std::uint32_t peer = c.peer;
+  const std::uint32_t id = c.id;
   std::lock_guard lk(mu_);
   bool was_route = false;
   if (peer != no_peer) {
@@ -351,7 +352,7 @@ void tcp_transport::close_conn(conn& c) {
   }
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.fd, nullptr);
   ::close(c.fd);
-  conns_.erase(c.id);
+  conns_.erase(id);  // destroys c
   if (was_route) adopt_locked(peer);
 }
 
