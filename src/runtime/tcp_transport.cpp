@@ -149,7 +149,7 @@ void tcp_transport::send(process_id to, const proto::message& m) {
   bool need_wake = false;
   {
     std::lock_guard lk(mu_);
-    enqueue_locked(to.valid() ? to.index : opt_.n, wire, on_loop, need_wake);
+    need_wake = enqueue_locked(to.valid() ? to.index : opt_.n, wire, on_loop);
   }
   if (need_wake) wake();
 }
@@ -160,7 +160,7 @@ void tcp_transport::broadcast(std::uint32_t n, const proto::message& m) {
   bool need_wake = false;
   {
     std::lock_guard lk(mu_);
-    for (std::uint32_t i = 0; i < n; ++i) enqueue_locked(i, wire, on_loop, need_wake);
+    for (std::uint32_t i = 0; i < n; ++i) need_wake |= enqueue_locked(i, wire, on_loop);
   }
   if (need_wake) wake();
 }
@@ -175,33 +175,34 @@ std::uint64_t tcp_transport::datagrams_dropped() const {
   return dropped_;
 }
 
-void tcp_transport::enqueue_locked(std::uint32_t to, std::span<const std::uint8_t> wire,
-                                   bool on_loop, bool& wake) {
+bool tcp_transport::enqueue_locked(std::uint32_t to, std::span<const std::uint8_t> wire,
+                                   bool on_loop) {
   ++sent_;
   if (to >= opt_.n) {
     ++dropped_;
-    return;
+    return false;
   }
   if (to == opt_.self) {
     // The epoll thread drains its own self-sends before it sleeps again.
-    if (!on_loop && self_pending_.empty()) wake = true;
+    const bool wake = !on_loop && self_pending_.empty();
     append_frame(self_pending_, wire);
-    return;
+    return wake;
   }
   peer_state& ps = peers_[to];
   if (ps.pending.size() + wire.size() + 4 > opt_.max_pending_bytes) {
     ++dropped_;  // backpressure: drop the whole frame, never block
-    return;
+    return false;
   }
   const bool was_empty = ps.pending.empty();
   append_frame(ps.pending, wire);
   ps.pending_frames += 1;
-  if (on_loop) return;  // written once the event batch is done
+  if (on_loop) return false;  // written once the event batch is done
   if (ps.route != nullptr && !ps.route->connecting && !ps.out_armed) {
     flush_locked(ps);  // straight to the socket, behind any queued replies
-  } else if (ps.route == nullptr && was_empty) {
-    wake = true;  // the epoll thread adopts or opens a connection
+    return false;
   }
+  // With no route the epoll thread adopts or opens a connection.
+  return ps.route == nullptr && was_empty;
 }
 
 void tcp_transport::set_out_interest_locked(peer_state& ps, bool want) {
@@ -246,6 +247,10 @@ void tcp_transport::fail_route_locked(peer_state& ps) {
   if (ps.better == ps.route) ps.better = nullptr;
   ps.route = nullptr;
   ps.out_armed = false;
+  drop_pending_locked(ps);
+}
+
+void tcp_transport::drop_pending_locked(peer_state& ps) {
   dropped_ += ps.pending_frames;
   ps.pending.clear();
   ps.pending_frames = 0;
@@ -281,10 +286,7 @@ void tcp_transport::connect_locked(std::uint32_t peer) {
   }
   if (fd < 0 || (rc != 0 && errno != EINPROGRESS)) {
     if (fd >= 0) ::close(fd);  // refused: peer not up yet; backoff applies
-    dropped_ += ps.pending_frames;
-    ps.pending.clear();
-    ps.pending_frames = 0;
-    ps.next_attempt = std::chrono::steady_clock::now() + reconnect_backoff;
+    drop_pending_locked(ps);
     return;
   }
   const std::uint32_t id = next_conn_id_++;
@@ -341,12 +343,9 @@ void tcp_transport::close_conn(conn& c) {
     peer_state& ps = peers_[peer];
     if (ps.better == &c) ps.better = nullptr;
     if (ps.route == &c) {
-      dropped_ += ps.pending_frames;
-      ps.pending.clear();
-      ps.pending_frames = 0;
-      ps.out_armed = false;
-      ps.next_attempt = std::chrono::steady_clock::now() + reconnect_backoff;
       ps.route = nullptr;
+      ps.out_armed = false;
+      drop_pending_locked(ps);
       was_route = true;
     }
   }

@@ -91,8 +91,8 @@ class tcp_transport final : public transport {
   static constexpr std::uint32_t no_peer = ~0u;
 
   /// One socket to a peer, opened by either side. Created, read and closed
-  /// only by the epoll thread; `connecting` and `dead` are also read by
-  /// sending threads and change only under mu_.
+  /// only by the epoll thread; sending threads reach it through a route,
+  /// under mu_, which also guards every change to `connecting` and `dead`.
   struct conn {
     int fd = -1;
     std::uint32_t id = 0;          // epoll tag; never reused, unlike fds
@@ -113,17 +113,19 @@ class tcp_transport final : public transport {
   };
 
   void loop();
-  void enqueue_locked(std::uint32_t to, std::span<const std::uint8_t> wire, bool on_loop,
-                      bool& wake);
+  /// Queues or writes one frame; true when the epoll thread must be woken.
+  bool enqueue_locked(std::uint32_t to, std::span<const std::uint8_t> wire, bool on_loop);
   void flush_locked(peer_state& ps);
   void set_out_interest_locked(peer_state& ps, bool want);
   void fail_route_locked(peer_state& ps);
+  void drop_pending_locked(peer_state& ps);
   void adopt_locked(std::uint32_t peer);
   void connect_locked(std::uint32_t peer);
   void service_peers_locked();
   [[nodiscard]] bool preferred(const conn& c) const;
   void accept_all();
   void on_conn_event(conn& c, std::uint32_t events);
+  /// Both return false when they closed (and destroyed) the connection.
   bool read_conn(conn& c);
   bool consume(conn& c, std::span<const std::uint8_t> data);
   void close_conn(conn& c);
@@ -137,7 +139,7 @@ class tcp_transport final : public transport {
   int wake_fd_ = -1;
   std::atomic<bool> stop_{false};
 
-  std::map<std::uint32_t, conn> conns_;  // by id; epoll thread only
+  std::map<std::uint32_t, conn> conns_;  // by id; epoll thread only, erased under mu_
   std::uint32_t next_conn_id_ = 0;       // epoll thread only
   bytes self_batch_;                     // epoll thread only: frames being delivered
 
