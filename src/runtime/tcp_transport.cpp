@@ -244,7 +244,6 @@ void tcp_transport::fail_route_locked(peer_state& ps) {
   // hang-up is reported; until then no sender may touch it.
   ::shutdown(ps.route->fd, SHUT_RDWR);
   ps.route->dead = true;
-  if (ps.better == ps.route) ps.better = nullptr;
   ps.route = nullptr;
   ps.out_armed = false;
   drop_pending_locked(ps);
