@@ -1,10 +1,16 @@
 // Determinism regression: a run is a pure function of (configuration, seed).
 // Two clusters driven identically must produce bit-identical histories,
 // tagged operations, metrics, and event counts — across fault-free and
-// crash-heavy schedules. This pins the typed-event/calendar-queue rewrite to
-// the exact semantics of the original closure-based simulator.
+// crash-heavy schedules. The golden pins at the end go further: each
+// fixed-seed run folds into a 64-bit hash that must equal a recorded
+// constant, so a change that reorders events — even deterministically —
+// fails here instead of passing the same-binary comparisons.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.h"
@@ -228,6 +234,95 @@ TEST(Determinism, MetricsAreReproducible) {
   EXPECT_EQ(ca.read_messages().mean(), cb.read_messages().mean());
   EXPECT_EQ(ca.write_total_logs().mean(), cb.write_total_logs().mean());
   EXPECT_EQ(ca.read_total_logs().mean(), cb.read_total_logs().mean());
+}
+
+/// FNV-1a over 64-bit words: folds every observable of a finished run (the
+/// fields expect_identical compares) into one hash.
+struct run_hash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+std::uint64_t hash_run(const cluster& c) {
+  run_hash rh;
+  rh.add(c.events_executed());
+  rh.add(static_cast<std::uint64_t>(c.now()));
+  rh.add(c.recovery_stores());
+  for (std::uint32_t p = 0; p < c.size(); ++p) rh.add(c.durable_stores(process_id{p}));
+  rh.add(c.events().size());
+  for (const history::tagged_op& op : c.tagged_operations()) {
+    rh.add(op.is_read ? 1 : 0);
+    rh.add(op.p.index);
+    rh.add(static_cast<std::uint64_t>(op.applied.sn));
+    rh.add(static_cast<std::uint64_t>(op.applied.rec));
+    rh.add(op.applied.writer.index);
+    rh.add(op.val.data.size());
+    for (const std::uint8_t b : op.val.data) rh.add(b);
+    rh.add(static_cast<std::uint64_t>(op.invoked_at));
+    rh.add(static_cast<std::uint64_t>(op.replied_at));
+  }
+  return rh.h;
+}
+
+std::string hex(std::uint64_t x) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(x));
+  return buf;
+}
+
+// Golden pins: hashes of fixed-seed runs, recorded with the simulator whose
+// event order every history in this repository is reproduced on. An
+// event-queue or scheduling change that alters any history — events executed,
+// clock, stores, or any tagged operation — changes a hash. Update a constant
+// only for a change that is meant to alter histories, and say so.
+TEST(DeterminismPins, FaultFreeRunsMatchRecordedHashes) {
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {
+      {1, 0xfd3024ba2096befcULL},
+      {7, 0x19bc4dac20432eaeULL},
+      {42, 0x4ae011af9422fdedULL},
+  };
+  for (const auto& [seed, want] : pins) {
+    cluster c(make_cfg(seed));
+    drive(c, seed, false);
+    EXPECT_EQ(hex(hash_run(c)), hex(want)) << "fault-free seed " << seed;
+  }
+}
+
+TEST(DeterminismPins, CrashHeavyRunsMatchRecordedHashes) {
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {
+      {3, 0x05dfb88d0d881fa0ULL},
+      {1234, 0xf6cc9a94c2436f32ULL},
+  };
+  for (const auto& [seed, want] : pins) {
+    cluster c(make_cfg(seed));
+    drive(c, seed, true);
+    EXPECT_EQ(hex(hash_run(c)), hex(want)) << "crash-heavy seed " << seed;
+  }
+}
+
+TEST(DeterminismPins, KeyedRunsMatchRecordedHashes) {
+  struct pin {
+    std::uint64_t seed;
+    bool faults;
+    std::uint64_t want;
+  };
+  const pin pins[] = {
+      {11, false, 0x8c7db9395da9c107ULL},
+      {11, true, 0xf5239e8a2359ecebULL},
+      {23, false, 0x9d21590c956b472bULL},
+      {23, true, 0xa907abfc8a04e75aULL},
+  };
+  for (const pin& p : pins) {
+    cluster c(make_cfg(p.seed));
+    drive_keyed(c, p.seed, p.faults);
+    EXPECT_EQ(hex(hash_run(c)), hex(p.want))
+        << "keyed seed " << p.seed << (p.faults ? " with faults" : " fault-free");
+  }
 }
 
 }  // namespace
