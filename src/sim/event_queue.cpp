@@ -51,7 +51,6 @@ void event_queue::commit_far(const heap_entry& e, slot& s, time_ns delta) {
     const std::uint32_t pos = static_cast<std::uint32_t>(far_.size());
     far_.emplace_back();
     far_sift_up(pos, e);
-    flush_due_ = std::min(flush_due_, far_[0].at - far_horizon + 1);
   }
 }
 
@@ -124,11 +123,6 @@ void event_queue::pop_bucket(std::uint32_t b) {
 }
 
 void event_queue::advance_flush() {
-  while (!far_.empty() && far_[0].at - now_ < far_horizon) {
-    const heap_entry e = far_[0];
-    far_remove(0);
-    ring_insert(e, slot_at(e.idx));
-  }
   // Cascade through the bucket containing now() + far_horizon (inclusive):
   // afterwards every unflushed wheel event is strictly beyond the horizon,
   // so the ring always holds a complete prefix of the schedule. A flushed
@@ -147,12 +141,19 @@ void event_queue::advance_flush() {
     }
     ++w2_flushed_;
   }
-  // Next time a cascade can matter: the wheel boundary moves into a new
-  // bucket, or the overflow root crosses the horizon.
-  flush_due_ = static_cast<time_ns>(w2_flushed_ << w2_shift) - far_horizon;
-  if (!far_.empty()) {
-    flush_due_ = std::min(flush_due_, far_[0].at - far_horizon + 1);
+  // Overflow events before the flush boundary join the ring too: a cascaded
+  // wheel event may lie up to one wheel bucket past the horizon, and an
+  // earlier overflow event left behind would pop after it.
+  const time_ns boundary = static_cast<time_ns>(w2_flushed_ << w2_shift);
+  while (!far_.empty() && far_[0].at < boundary) {
+    const heap_entry e = far_[0];
+    far_remove(0);
+    ring_insert(e, slot_at(e.idx));
   }
+  // Next time a cascade can matter: the horizon moves into a new wheel
+  // bucket. Overflow events always start beyond the boundary (their delay
+  // exceeds the wheel's horizon), so they never need an earlier one.
+  flush_due_ = boundary - far_horizon;
 }
 
 time_ns event_queue::next_time() const {
@@ -317,7 +318,13 @@ std::uint64_t event_queue::run_until(time_ns deadline) {
     }
   }
 done:
-  if (now_ < deadline) now_ = deadline;
+  if (now_ < deadline) {
+    now_ = deadline;
+    // Later schedules may land in the ring relative to the new now(); the
+    // wheel must first cascade up to the new horizon, or they would pop ahead
+    // of earlier events still parked there.
+    maybe_flush();
+  }
   return n;
 }
 

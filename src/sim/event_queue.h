@@ -282,9 +282,9 @@ class event_queue {
   std::vector<heap_entry> far_;      // 4-ary min-heap, multi-second overflow
   std::vector<std::uint32_t> free_;  // recycled slot indices
   sim_executor* executor_ = nullptr;
-  /// Earliest now() at which a cascade could matter; never above the true
-  /// due time (stale-low just triggers a recompute). Maintained by
-  /// advance_flush() and lowered by far-heap inserts.
+  /// Earliest now() at which a cascade could matter: the horizon
+  /// now() + far_horizon reaching the first unflushed wheel bucket.
+  /// Maintained by advance_flush().
   time_ns flush_due_ = 0;
   time_ns now_ = 0;
   std::uint64_t next_seq_ = 1;
