@@ -17,40 +17,59 @@ event_queue::token event_queue::schedule_event(time_ns at, sim_event ev) {
   return commit(at, idx);
 }
 
-void event_queue::ring_insert(const heap_entry& e, slot& s) {
+void event_queue::ring_insert(std::uint32_t idx, slot& s) {
   const std::uint32_t b =
-      static_cast<std::uint32_t>(static_cast<std::uint64_t>(e.at) >> bucket_shift) &
+      static_cast<std::uint32_t>(static_cast<std::uint64_t>(s.at) >> bucket_shift) &
       (ring_size - 1);
   bucket& bk = ring_[b];
-  if (bk.head == bk.v.size()) {  // becoming occupied
-    bk.v.clear();
-    bk.head = 0;
-    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  }
-  // Sorted insert from the back; in practice appends, since a bucket spans
-  // ~1 us and near-simultaneous events arrive in seq order.
-  bk.v.push_back(e);
-  for (std::size_t i = bk.v.size() - 1; i > bk.head && before(e, bk.v[i - 1]); --i) {
-    bk.v[i] = bk.v[i - 1];
-    bk.v[i - 1] = e;
-  }
   ++ring_count_;
   s.heap_pos = b;
+  if (bk.head == npos) {  // becoming occupied
+    s.next = npos;
+    bk.head = bk.tail = idx;
+    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    return;
+  }
+  // Sorted insert. In practice an append: a bucket spans ~1 us and
+  // near-simultaneous events arrive in seq order.
+  slot& last = slot_at(bk.tail);
+  if (!before(s, last)) {
+    s.next = npos;
+    last.next = idx;
+    bk.tail = idx;
+    return;
+  }
+  if (before(s, slot_at(bk.head))) {
+    s.next = bk.head;
+    bk.head = idx;
+    return;
+  }
+  // Strictly between head and tail: some successor orders after `s`.
+  slot* prev = &slot_at(bk.head);
+  while (!before(s, slot_at(prev->next))) prev = &slot_at(prev->next);
+  s.next = prev->next;
+  prev->next = idx;
 }
 
-void event_queue::commit_far(const heap_entry& e, slot& s, time_ns delta) {
+void event_queue::commit_far(std::uint32_t idx, slot& s, time_ns delta) {
   if (delta < w2_horizon) {
     const std::uint32_t b = static_cast<std::uint32_t>(
-        (static_cast<std::uint64_t>(e.at) >> w2_shift) & (w2_size - 1));
+        (static_cast<std::uint64_t>(s.at) >> w2_shift) & (w2_size - 1));
     bucket& bk = w2_[b];
-    if (bk.v.empty()) w2_occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-    bk.v.push_back(e);  // unsorted; the cascade into the ring orders it
+    s.next = npos;  // append; the cascade into the ring orders it
+    if (bk.head == npos) {
+      bk.head = idx;
+      w2_occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    } else {
+      slot_at(bk.tail).next = idx;
+    }
+    bk.tail = idx;
     ++w2_count_;
     s.heap_pos = b | w2_flag;
   } else {
     const std::uint32_t pos = static_cast<std::uint32_t>(far_.size());
     far_.emplace_back();
-    far_sift_up(pos, e);
+    far_sift_up(pos, heap_entry{s.at, s.seq, idx});
   }
 }
 
@@ -112,14 +131,33 @@ std::uint32_t event_queue::first_bucket() const {
   }
 }
 
-void event_queue::pop_bucket(std::uint32_t b) {
+std::uint32_t event_queue::pop_bucket(std::uint32_t b) {
   bucket& bk = ring_[b];
-  if (++bk.head == bk.v.size()) {
-    bk.v.clear();
-    bk.head = 0;
+  const std::uint32_t idx = bk.head;
+  bk.head = slot_at(idx).next;
+  if (bk.head == npos) {
+    bk.tail = npos;
     occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
   }
   --ring_count_;
+  return idx;
+}
+
+bool event_queue::unlink(bucket& bk, std::uint32_t idx) {
+  const std::uint32_t next = slot_at(idx).next;
+  if (bk.head == idx) {
+    bk.head = next;
+    if (next == npos) {
+      bk.tail = npos;
+      return true;
+    }
+    return false;
+  }
+  std::uint32_t prev = bk.head;
+  while (slot_at(prev).next != idx) prev = slot_at(prev).next;
+  slot_at(prev).next = next;
+  if (bk.tail == idx) bk.tail = prev;
+  return false;
 }
 
 void event_queue::advance_flush() {
@@ -133,10 +171,15 @@ void event_queue::advance_flush() {
   while (w2_flushed_ < target) {
     const std::uint32_t b = static_cast<std::uint32_t>(w2_flushed_ & (w2_size - 1));
     bucket& bk = w2_[b];
-    if (!bk.v.empty()) {
-      for (const heap_entry& e : bk.v) ring_insert(e, slot_at(e.idx));
-      w2_count_ -= bk.v.size();
-      bk.v.clear();
+    if (bk.head != npos) {
+      for (std::uint32_t idx = bk.head; idx != npos;) {
+        slot& s = slot_at(idx);
+        const std::uint32_t next = s.next;  // ring_insert relinks s
+        ring_insert(idx, s);
+        --w2_count_;
+        idx = next;
+      }
+      bk = bucket{};
       w2_occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     }
     ++w2_flushed_;
@@ -146,9 +189,9 @@ void event_queue::advance_flush() {
   // earlier overflow event left behind would pop after it.
   const time_ns boundary = static_cast<time_ns>(w2_flushed_ << w2_shift);
   while (!far_.empty() && far_[0].at < boundary) {
-    const heap_entry e = far_[0];
+    const std::uint32_t idx = far_[0].idx;
     far_remove(0);
-    ring_insert(e, slot_at(e.idx));
+    ring_insert(idx, slot_at(idx));
   }
   // Next time a cascade can matter: the horizon moves into a new wheel
   // bucket. Overflow events always start beyond the boundary (their delay
@@ -158,10 +201,7 @@ void event_queue::advance_flush() {
 
 time_ns event_queue::next_time() const {
   time_ns t = no_time;
-  if (ring_count_ != 0) {
-    const bucket& bk = ring_[first_bucket()];
-    t = bk.v[bk.head].at;
-  }
+  if (ring_count_ != 0) t = slot_at(ring_[first_bucket()].head).at;
   if (w2_count_ != 0 || !far_.empty()) t = std::min(t, next_band_time());
   return t;
 }
@@ -221,27 +261,11 @@ bool event_queue::cancel(token t) {
     far_remove(s.heap_pos & ~far_flag);
   } else if (s.heap_pos & w2_flag) {
     const std::uint32_t b = s.heap_pos & ~w2_flag;
-    bucket& bk = w2_[b];
-    for (std::size_t i = 0; i < bk.v.size(); ++i) {
-      if (bk.v[i].idx != idx) continue;
-      bk.v.erase(bk.v.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-    if (bk.v.empty()) w2_occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    if (unlink(w2_[b], idx)) w2_occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     --w2_count_;
   } else {
     const std::uint32_t b = s.heap_pos;
-    bucket& bk = ring_[b];
-    for (std::size_t i = bk.head; i < bk.v.size(); ++i) {
-      if (bk.v[i].idx != idx) continue;
-      bk.v.erase(bk.v.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-    if (bk.head == bk.v.size()) {
-      bk.v.clear();
-      bk.head = 0;
-      occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    }
+    if (unlink(ring_[b], idx)) occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     --ring_count_;
   }
   s.ev = sim_event{};  // drop payload (closure, message ref, log buffers) now
@@ -273,12 +297,8 @@ bool event_queue::step() {
       jump_to_next_band();
     }
   }
-  const std::uint32_t b = first_bucket();
-  const bucket& bk = ring_[b];
-  const heap_entry& ne = bk.v[bk.head];
-  now_ = ne.at;
-  const std::uint32_t idx = ne.idx;
-  pop_bucket(b);
+  const std::uint32_t idx = pop_bucket(first_bucket());
+  now_ = slot_at(idx).at;
   maybe_flush();  // keep the ring complete up to now() + far_horizon
   execute_slot(idx);
   return true;
@@ -306,12 +326,10 @@ std::uint64_t event_queue::run_until(time_ns deadline) {
     }
     {
       const std::uint32_t b = first_bucket();
-      const bucket& bk = ring_[b];
-      const heap_entry& ne = bk.v[bk.head];
-      if (ne.at > deadline) break;
-      now_ = ne.at;
-      const std::uint32_t idx = ne.idx;
-      pop_bucket(b);
+      const time_ns at = slot_at(ring_[b].head).at;
+      if (at > deadline) break;
+      now_ = at;
+      const std::uint32_t idx = pop_bucket(b);
       maybe_flush();
       execute_slot(idx);
       ++n;

@@ -13,13 +13,26 @@
 //     sifts. Longer-dated events (retransmission timers, mostly — the bulk
 //     of *pending* events) go to a level-2 wheel of ~1 ms buckets whose
 //     contents cascade into the ring just before the clock reaches them;
-//     multi-second schedules (fault plans) land in an overflow min-heap.
+//     multi-second schedules (fault plans) land in an overflow min-heap,
+//     whose events join the ring once the cascade boundary passes them.
 //     Every event is popped from the ring in (timestamp, insertion-seq)
 //     order, so the schedule is exactly the single-queue order.
 //   * Payloads live in generation-stamped slots with stable addresses
 //     (chunked arena); a token packs (slot, generation), making cancel() an
 //     O(1) validity check plus a cheap removal. The old implementation
 //     scanned a cancelled-token vector on every step.
+//   * Ring and wheel buckets are singly linked lists threaded through the
+//     slots ({head, tail} slot indices per bucket; each slot carries its
+//     next link and its (timestamp, seq) key). Ring lists stay sorted —
+//     inserts almost always append at the tail — and pop at the head;
+//     wheel lists keep insertion order and are walked by the cascade. A
+//     bucket owns no storage, so the queue's only allocations are the two
+//     bucket arrays, the slot chunks, the overflow heap and the free list:
+//     a short-lived queue costs a handful of allocations, not one per
+//     bucket it touched. cancel() unlinks by walking the bucket to the
+//     slot's predecessor.
+//   * Overflow-heap entries carry their sort key inline, so heap sifts
+//     never chase the slot table.
 #pragma once
 
 #include <array>
@@ -168,7 +181,7 @@ class event_queue {
 
   // Level-2 wheel: 4096 buckets of 2^20 ns (~1 ms) cover ~4.3 s; events
   // within half that horizon go here, later ones to the overflow heap.
-  // Buckets are unsorted append-only; the cascade into the (sorting) ring
+  // Buckets keep insertion order; the cascade into the (sorting) ring
   // happens before the flush boundary — now() + far_horizon — passes them.
   static constexpr std::uint32_t w2_shift = 20;
   static constexpr std::uint32_t w2_size = 4096;  // power of two
@@ -184,29 +197,38 @@ class event_queue {
     /// npos = not queued; far_flag|pos = overflow-heap position;
     /// w2_flag|bucket = level-2 wheel bucket; else the masked ring bucket.
     std::uint32_t heap_pos = npos;
+    std::uint32_t next = npos;  // next slot in its ring or wheel bucket
+    time_ns at = 0;             // sort key, set by commit()
+    std::uint64_t seq = 0;      // insertion order: ties run first-scheduled
     sim_event ev{};
   };
 
-  /// Queue entries carry their sort key inline so ordering never chases the
-  /// slot table (these comparisons are the hottest loads in the simulator).
+  /// Overflow-heap entries carry their sort key inline so sifts never chase
+  /// the slot table.
   struct heap_entry {
     time_ns at = 0;
-    std::uint64_t seq = 0;  // insertion order: ties run first-scheduled
+    std::uint64_t seq = 0;
     std::uint32_t idx = 0;  // slot holding the payload
   };
 
-  /// One ring bucket: entries sorted by (at, seq), consumed from `head`.
+  /// One ring or wheel bucket: a singly linked list of slots threaded
+  /// through slot::next. Ring lists are sorted by (at, seq) and popped at
+  /// `head`; wheel lists keep insertion order.
   struct bucket {
-    std::vector<heap_entry> v;
-    std::uint32_t head = 0;
+    std::uint32_t head = npos;
+    std::uint32_t tail = npos;
   };
 
-  [[nodiscard]] static bool before(const heap_entry& a, const heap_entry& b) {
+  template <typename A, typename B>
+  [[nodiscard]] static bool before(const A& a, const B& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
   }
 
   [[nodiscard]] slot& slot_at(std::uint32_t idx) {
+    return chunks_[idx >> chunk_shift][idx & (chunk_size - 1)];
+  }
+  [[nodiscard]] const slot& slot_at(std::uint32_t idx) const {
     return chunks_[idx >> chunk_shift][idx & (chunk_size - 1)];
   }
 
@@ -230,20 +252,21 @@ class event_queue {
 
   /// Insert the acquired slot into its band; returns its token.
   token commit(time_ns at, std::uint32_t idx) {
-    const heap_entry e{at, next_seq_++, idx};
     slot& s = slot_at(idx);
+    s.at = at;
+    s.seq = next_seq_++;
     const time_ns delta = at - now_;
     if (delta < far_horizon ||
         (static_cast<std::uint64_t>(at) >> w2_shift) < w2_flushed_) {
       // Imminent — or its wheel bucket already cascaded (the flush boundary
       // sits inside it), which still keeps it within the ring's safe span.
-      ring_insert(e, s);
+      ring_insert(idx, s);
     } else {
-      commit_far(e, s, delta);
+      commit_far(idx, s, delta);
     }
     return (static_cast<std::uint64_t>(idx) << 32) | s.gen;
   }
-  void commit_far(const heap_entry& e, slot& s, time_ns delta);
+  void commit_far(std::uint32_t idx, slot& s, time_ns delta);
 
   void far_sift_up(std::uint32_t pos, heap_entry e);
   void far_sift_down(std::uint32_t pos, heap_entry e);
@@ -251,8 +274,11 @@ class event_queue {
   /// Masked index of the first occupied ring bucket at or after now();
   /// call only when ring_count_ > 0.
   [[nodiscard]] std::uint32_t first_bucket() const;
-  void ring_insert(const heap_entry& e, slot& s);
-  void pop_bucket(std::uint32_t b);
+  void ring_insert(std::uint32_t idx, slot& s);
+  /// Unlink `idx` from bucket `bk`; returns true when the bucket emptied.
+  bool unlink(bucket& bk, std::uint32_t idx);
+  /// Pop the head of ring bucket `b`; returns the popped slot index.
+  std::uint32_t pop_bucket(std::uint32_t b);
   /// Cascade wheel/overflow events whose time precedes now() + far_horizon
   /// into the ring (they become ring-eligible as the clock approaches).
   /// The fast path is one compare against the cached due time.
@@ -275,7 +301,7 @@ class event_queue {
   std::vector<bucket> ring_{ring_size};
   std::array<std::uint64_t, ring_size / 64> occupied_{};
   std::size_t ring_count_ = 0;
-  std::vector<bucket> w2_{w2_size};  // level-2 wheel (head unused; unsorted)
+  std::vector<bucket> w2_{w2_size};  // level-2 wheel (insertion order)
   std::array<std::uint64_t, w2_size / 64> w2_occupied_{};
   std::size_t w2_count_ = 0;
   std::uint64_t w2_flushed_ = 0;     // absolute bucket: all before are empty
