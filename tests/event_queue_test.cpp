@@ -476,7 +476,9 @@ class differential {
         before + static_cast<time_ns>(r_.next_below(scales[r_.next_below(4)]));
     q_.run_until(deadline);
     EXPECT_EQ(q_.now(), std::max(before, deadline));
-    if (!ref_.empty()) EXPECT_GT(ref_.begin()->first, deadline);
+    if (!ref_.empty()) {
+      EXPECT_GT(ref_.begin()->first, deadline);
+    }
   }
 
   void check_invariants() {
