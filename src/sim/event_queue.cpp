@@ -131,16 +131,9 @@ std::uint32_t event_queue::first_bucket() const {
   }
 }
 
-std::uint32_t event_queue::pop_bucket(std::uint32_t b) {
-  bucket& bk = ring_[b];
-  const std::uint32_t idx = bk.head;
-  bk.head = slot_at(idx).next;
-  if (bk.head == npos) {
-    bk.tail = npos;
-    occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-  }
+void event_queue::ring_remove(std::uint32_t b, std::uint32_t idx) {
+  if (unlink(ring_[b], idx)) occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
   --ring_count_;
-  return idx;
 }
 
 bool event_queue::unlink(bucket& bk, std::uint32_t idx) {
@@ -264,9 +257,7 @@ bool event_queue::cancel(token t) {
     if (unlink(w2_[b], idx)) w2_occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     --w2_count_;
   } else {
-    const std::uint32_t b = s.heap_pos;
-    if (unlink(ring_[b], idx)) occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    --ring_count_;
+    ring_remove(s.heap_pos, idx);
   }
   s.ev = sim_event{};  // drop payload (closure, message ref, log buffers) now
   retire(idx);
@@ -297,7 +288,9 @@ bool event_queue::step() {
       jump_to_next_band();
     }
   }
-  const std::uint32_t idx = pop_bucket(first_bucket());
+  const std::uint32_t b = first_bucket();
+  const std::uint32_t idx = ring_[b].head;
+  ring_remove(b, idx);
   now_ = slot_at(idx).at;
   maybe_flush();  // keep the ring complete up to now() + far_horizon
   execute_slot(idx);
@@ -326,10 +319,11 @@ std::uint64_t event_queue::run_until(time_ns deadline) {
     }
     {
       const std::uint32_t b = first_bucket();
-      const time_ns at = slot_at(ring_[b].head).at;
+      const std::uint32_t idx = ring_[b].head;
+      const time_ns at = slot_at(idx).at;
       if (at > deadline) break;
       now_ = at;
-      const std::uint32_t idx = pop_bucket(b);
+      ring_remove(b, idx);
       maybe_flush();
       execute_slot(idx);
       ++n;

@@ -277,8 +277,8 @@ class event_queue {
   void ring_insert(std::uint32_t idx, slot& s);
   /// Unlink `idx` from bucket `bk`; returns true when the bucket emptied.
   bool unlink(bucket& bk, std::uint32_t idx);
-  /// Pop the head of ring bucket `b`; returns the popped slot index.
-  std::uint32_t pop_bucket(std::uint32_t b);
+  /// Remove slot `idx` from ring bucket `b` (a pop passes the head).
+  void ring_remove(std::uint32_t b, std::uint32_t idx);
   /// Cascade wheel/overflow events whose time precedes now() + far_horizon
   /// into the ring (they become ring-eligible as the clock approaches).
   /// The fast path is one compare against the cached due time.
