@@ -1,6 +1,12 @@
 // Unit tests for the common substrate: ids, tags, values, codec, rng.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <iterator>
+#include <span>
+#include <vector>
+
 #include "common/codec.h"
 #include "common/error.h"
 #include "common/ids.h"
@@ -92,6 +98,203 @@ TEST(Value, SizedPayloadIsDeterministic) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_EQ(a.size(), 1000u);
+}
+
+// value::data against std::vector<uint8_t>: seeded random edit sequences
+// whose sizes straddle the inline edge, compared after every step. Only the
+// container's public API is used, so the test also runs on a plain vector.
+using ref_bytes = std::vector<std::uint8_t>;
+using value_bytes = decltype(value::data);
+
+constexpr std::size_t kEdgeSizes[] = {0, 1, 15, 16, 17, 64, 64 * 1024};
+
+void expect_same(const value_bytes& got, const ref_bytes& want, std::uint64_t step) {
+  ASSERT_EQ(got.size(), want.size()) << "step " << step;
+  ASSERT_EQ(got.empty(), want.empty()) << "step " << step;
+  ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end())) << "step " << step;
+  if (!want.empty()) {
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0) << "step " << step;
+    ASSERT_EQ(got[0], want[0]) << "step " << step;
+    ASSERT_EQ(got[want.size() - 1], want.back()) << "step " << step;
+  }
+  const std::span<const std::uint8_t> view = got;
+  ASSERT_EQ(view.size(), want.size()) << "step " << step;
+}
+
+std::size_t pick_size(rng& r) {
+  const std::size_t base = kEdgeSizes[r.next_below(std::size(kEdgeSizes))];
+  // Mostly the edge sizes themselves; sometimes one step either side.
+  switch (r.next_below(4)) {
+    case 0: return base + 1;
+    case 1: return base == 0 ? 0 : base - 1;
+    default: return base;
+  }
+}
+
+ref_bytes random_bytes(rng& r, std::size_t n) {
+  ref_bytes b(n);
+  for (auto& x : b) x = static_cast<std::uint8_t>(r.next_u64());
+  return b;
+}
+
+TEST(ValueBytes, RandomEditsMatchVector) {
+  constexpr std::size_t kSlots = 4;
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    rng r(seed);
+    std::vector<value_bytes> got(kSlots);
+    std::vector<ref_bytes> want(kSlots);
+    for (std::uint64_t step = 0; step < 4000; ++step) {
+      const std::size_t i = r.next_below(kSlots);
+      const std::size_t j = r.next_below(kSlots);
+      switch (r.next_below(11)) {
+        case 0: {
+          const std::size_t n = pick_size(r);
+          got[i].resize(n);
+          want[i].resize(n);
+          break;
+        }
+        case 1: {
+          const std::size_t n = pick_size(r);
+          const auto fill = static_cast<std::uint8_t>(r.next_u64());
+          got[i].resize(n, fill);
+          want[i].resize(n, fill);
+          break;
+        }
+        case 2: {
+          const ref_bytes src = random_bytes(r, pick_size(r));
+          got[i].assign(src.begin(), src.end());
+          want[i].assign(src.begin(), src.end());
+          break;
+        }
+        case 3: {
+          const auto x = static_cast<std::uint8_t>(r.next_u64());
+          const std::size_t reps = 1 + r.next_below(3);
+          for (std::size_t k = 0; k < reps; ++k) {
+            got[i].push_back(x);
+            want[i].push_back(x);
+          }
+          break;
+        }
+        case 4: {
+          const std::size_t cap = got[i].capacity();
+          got[i].clear();
+          want[i].clear();
+          ASSERT_EQ(got[i].capacity(), cap) << "clear() must keep the buffer, step " << step;
+          break;
+        }
+        case 5: {
+          got[i] = got[j];  // copy-assign (i == j is a self-assignment)
+          want[i] = want[j];
+          break;
+        }
+        case 6: {
+          value_bytes copy(got[j]);
+          ref_bytes ref_copy(want[j]);
+          expect_same(copy, ref_copy, step);
+          got[i] = std::move(copy);
+          want[i] = std::move(ref_copy);
+          ASSERT_TRUE(copy.empty()) << "moved-from source must be empty, step " << step;
+          break;
+        }
+        case 7: {
+          if (i == j) break;  // self-move leaves a valid but unspecified state
+          got[i] = std::move(got[j]);
+          want[i] = std::move(want[j]);
+          ASSERT_TRUE(got[j].empty()) << "step " << step;
+          want[j].clear();
+          break;
+        }
+        case 8: {
+          value_bytes moved(std::move(got[i]));
+          ref_bytes ref_moved(std::move(want[i]));
+          ASSERT_TRUE(got[i].empty()) << "step " << step;
+          want[i].clear();
+          got[j] = moved;
+          want[j] = ref_moved;
+          break;
+        }
+        case 9: {
+          const std::size_t n = pick_size(r);
+          got[i].reserve(n);
+          want[i].reserve(n);
+          ASSERT_GE(got[i].capacity(), n) << "step " << step;
+          break;
+        }
+        default: {
+          if (want[i].empty()) break;
+          const std::size_t k = r.next_below(want[i].size());
+          const auto x = static_cast<std::uint8_t>(r.next_u64());
+          got[i][k] = x;
+          want[i][k] = x;
+          *(got[i].begin() + static_cast<std::ptrdiff_t>(k)) ^= 0x5a;
+          want[i][k] ^= 0x5a;
+          break;
+        }
+      }
+      for (std::size_t s = 0; s < kSlots; ++s) {
+        ASSERT_NO_FATAL_FAILURE(expect_same(got[s], want[s], step)) << "seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(ValueBytes, ComparisonsMatchVector) {
+  rng r(11);
+  for (int trial = 0; trial < 20000; ++trial) {
+    // A two-letter alphabet and sizes around the inline edge make equal
+    // values, shared prefixes and prefix-of relations common.
+    ref_bytes a(r.next_below(20));
+    ref_bytes b = r.chance(0.3) ? a : ref_bytes(r.next_below(20));
+    for (auto& x : a) x = static_cast<std::uint8_t>(r.next_below(2));
+    if (r.chance(0.5)) {
+      for (auto& x : b) x = static_cast<std::uint8_t>(r.next_below(2));
+    } else if (!b.empty() && r.chance(0.5)) {
+      b = a;
+      b.resize(r.next_below(b.size() + 1));
+    }
+    value va;
+    value vb;
+    va.data.assign(a.begin(), a.end());
+    vb.data.assign(b.begin(), b.end());
+    ASSERT_EQ(va.data == vb.data, a == b) << "trial " << trial;
+    ASSERT_EQ(va == vb, a == b) << "trial " << trial;
+    ASSERT_EQ(va.data < vb.data, a < b) << "trial " << trial;
+    ASSERT_EQ(vb.data < va.data, b < a) << "trial " << trial;
+  }
+}
+
+TEST(ValueBytes, CodecRoundTripsEverySize) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 40; ++n) sizes.push_back(n);
+  sizes.push_back(64 * 1024);
+  for (const std::size_t n : sizes) {
+    const value v = value_of_size(n, static_cast<std::uint8_t>(n));
+    byte_writer w;
+    w.put_value(v);
+    w.put_u8(0x7e);  // a trailer: get_value must consume exactly its bytes
+    byte_reader r(w.buffer());
+    const value back = r.get_value();
+    EXPECT_EQ(back, v) << "size " << n;
+    EXPECT_EQ(back.size(), n);
+    EXPECT_EQ(r.get_u8(), 0x7e) << "size " << n;
+    EXPECT_TRUE(r.done()) << "size " << n;
+  }
+}
+
+TEST(ValueBytes, MovedFromValueIsInitial) {
+  for (const std::size_t n : kEdgeSizes) {
+    value a = value_of_size(n);
+    const value copy = a;
+    const value b = std::move(a);
+    EXPECT_TRUE(a.is_initial()) << "size " << n;  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(b, copy) << "size " << n;
+
+    value c = value_of_size(n, 3);
+    value d = value_of_size(n + 1, 4);
+    d = std::move(c);
+    EXPECT_TRUE(c.is_initial()) << "size " << n;  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(d, value_of_size(n, 3)) << "size " << n;
+  }
 }
 
 TEST(Codec, PrimitivesRoundTrip) {
