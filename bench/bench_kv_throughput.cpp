@@ -15,10 +15,12 @@
 // affordable) — scale numbers from histories that stopped linearizing are
 // worthless. Run with --smoke for a CI-sized run, --json[=PATH] for
 // machine-readable output (BENCH_kv_throughput.json).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -210,6 +212,8 @@ int main(int argc, char** argv) {
   json_report rep("kv_throughput");
   rep.set("mode", smoke ? "smoke" : "full");
   rep.set("logical_ops_submitted", static_cast<double>(ops));
+  rep.set("hardware_concurrency",
+          static_cast<double>(std::max(1u, std::thread::hardware_concurrency())));
 
   bool all_atomic = true;
   // Byte totals for the lossy retransmission pair, summed over all reps so

@@ -25,9 +25,11 @@
 // S=3 below pre-rebalance capacity at S=2 (virtual-time numbers are
 // deterministic, so this cannot flake). --smoke shrinks the phases for CI;
 // --json[=PATH] emits BENCH_rebalance.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -208,6 +210,8 @@ int main(int argc, char** argv) {
   json_report rep("rebalance");
   rep.set("mode", smoke ? "smoke" : "full");
   rep.set("ops_per_phase", static_cast<double>(phase_ops));
+  rep.set("hardware_concurrency",
+          static_cast<double>(std::max(1u, std::thread::hardware_concurrency())));
   rep.set("key_count", static_cast<double>(key_count));
   rep.set("pre_ops_per_vsec", pre.ops_per_vsec);
   rep.set("during_ops_per_vsec", during.ops_per_vsec);

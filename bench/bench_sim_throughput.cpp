@@ -11,7 +11,7 @@
 //     2000 wheel buckets, then drain: the queue's own lifecycle cost, paid
 //     by every short-lived cluster (gated at 0.05 allocs/event),
 //   * fault-free      — 3 processes running a full read/write protocol
-//     workload end to end (the ISSUE's headline number),
+//     workload end to end (gated at 0.05 allocs/event),
 //   * crash-heavy     — 5 processes under rolling minority crash/recovery
 //     churn (fault-injection replay throughput).
 //
@@ -435,7 +435,10 @@ int main(int argc, char** argv) {
   // anything approaching one allocation per event — the regression this
   // bench exists to catch — is orders of magnitude above this threshold.
   // A cold queue pays only its one-time structures; per-bucket storage would
-  // cost about one allocation per event there.
+  // cost about one allocation per event there. The fault-free protocol run
+  // writes 4-byte values, which are stored inline: what remains is history
+  // recording and per-op bookkeeping (~0.02 allocs/event); a value type
+  // that allocates per copy again shows up at ~0.1.
   if (flag_present(argc, argv, "--require-zero-alloc")) {
     if (qt.allocs_per_event > 1.0 / 10'000.0) {
       std::fprintf(stderr, "FAIL: typed queue steady state allocates (%f allocs/event)\n",
@@ -445,6 +448,11 @@ int main(int argc, char** argv) {
     if (qc.allocs_per_event > 0.05) {
       std::fprintf(stderr, "FAIL: cold queue allocates per event (%f allocs/event)\n",
                    qc.allocs_per_event);
+      return 1;
+    }
+    if (ff.allocs_per_event > 0.05) {
+      std::fprintf(stderr, "FAIL: fault-free run allocates per event (%f allocs/event)\n",
+                   ff.allocs_per_event);
       return 1;
     }
   }

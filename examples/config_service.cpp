@@ -29,7 +29,7 @@ value encode_config(const config_snapshot& c) {
   byte_writer w;
   w.put_u32(c.version);
   w.put_string(c.payload);
-  return value{std::move(w).take()};
+  return value{small_bytes(w.buffer())};
 }
 
 config_snapshot decode_config(const value& v) {

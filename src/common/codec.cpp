@@ -58,6 +58,16 @@ bytes byte_reader::get_bytes() {
   return out;
 }
 
+value byte_reader::get_value() {
+  const auto n = get_u32();
+  need(n);
+  value v;
+  const std::uint8_t* first = buf_.data() + pos_;
+  v.data.assign(first, first + n);
+  pos_ += n;
+  return v;
+}
+
 std::string byte_reader::get_string() {
   const auto n = get_u32();
   need(n);

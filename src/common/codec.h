@@ -57,7 +57,8 @@ class byte_reader {
   [[nodiscard]] std::string get_string();
   [[nodiscard]] process_id get_process() { return process_id{get_u32()}; }
   [[nodiscard]] tag get_tag();
-  [[nodiscard]] value get_value() { return value{get_bytes()}; }
+  /// Decodes straight into the value's own buffer (no intermediate bytes).
+  [[nodiscard]] value get_value();
 
   [[nodiscard]] std::size_t remaining() const noexcept { return buf_.size() - pos_; }
   [[nodiscard]] bool done() const noexcept { return remaining() == 0; }

@@ -1,15 +1,19 @@
 #include "common/value.h"
 
 #include <array>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <stdexcept>
 
 namespace remus {
 namespace {
 
-void append_le(bytes& out, std::uint64_t x, int n) {
+void append_le(small_bytes& out, std::uint64_t x, int n) {
   for (int i = 0; i < n; ++i) out.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
 }
 
-std::uint64_t read_le(const bytes& in, int n) {
+std::uint64_t read_le(const small_bytes& in, int n) {
   std::uint64_t x = 0;
   for (int i = 0; i < n; ++i) x |= static_cast<std::uint64_t>(in[static_cast<std::size_t>(i)]) << (8 * i);
   return x;
@@ -19,6 +23,22 @@ constexpr std::array<char, 16> hex = {'0', '1', '2', '3', '4', '5', '6', '7',
                                       '8', '9', 'a', 'b', 'c', 'd', 'e', 'f'};
 
 }  // namespace
+
+void small_bytes::regrow(std::size_t n) {
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("small_bytes: size exceeds 2^32 - 1 bytes");
+  }
+  auto* p = new std::uint8_t[n];
+  std::memcpy(p, data(), size_);
+  release();
+  heap_ = p;
+  cap_ = static_cast<std::uint32_t>(n);
+}
+
+void small_bytes::index_out_of_range(std::size_t i, std::size_t size) noexcept {
+  std::fprintf(stderr, "small_bytes: index %zu out of range for size %zu\n", i, size);
+  std::abort();
+}
 
 value value_of_u32(std::uint32_t x) {
   value v;

@@ -4,10 +4,32 @@
 // to the 64 KB UDP limit (Fig. 6 bottom). A value is an opaque byte string;
 // helpers build values from integers/strings for tests and examples. The
 // empty value stands for the initial ⊥.
+//
+// Values are copied everywhere: by the workload generator, by a replica that
+// adopts a write, into op results, into every history event and into every
+// checker projection. Their bytes live in a small_bytes, which keeps up to 16
+// bytes inline and spills to the heap beyond that, so the integer payloads
+// the experiments and the fuzzer write (4 and 8 bytes) never allocate.
+//  * 16 bytes is what fits beside a pointer-sized union member and two u32
+//    counters in 24 bytes: the footprint of a std::vector, so a value costs no
+//    more in a message, an event or a quorum_core replica slot (four values)
+//    than it did as a vector. A larger inline buffer would grow every one of
+//    them; 16 already covers u32/u64 values and short strings.
+//  * The heap path keeps std::vector's semantics: a copy allocates exactly
+//    the source's size, clear() keeps the capacity (quorum_core reuses
+//    cleared buffers), and a move steals the buffer and leaves the source
+//    empty, i.e. ⊥.
+// Wire frames and WAL records stay plain `bytes`.
 #pragma once
 
+#include <algorithm>
+#include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,9 +38,155 @@ namespace remus {
 
 using bytes = std::vector<std::uint8_t>;
 
+/// A byte string with vector semantics that stores up to 16 bytes inline.
+/// Sizes are limited to 2^32 - 1 bytes (the codec's length prefix).
+class small_bytes {
+ public:
+  using value_type = std::uint8_t;
+  using size_type = std::size_t;
+  using difference_type = std::ptrdiff_t;
+  using reference = std::uint8_t&;
+  using const_reference = const std::uint8_t&;
+  using iterator = std::uint8_t*;
+  using const_iterator = const std::uint8_t*;
+
+  static constexpr std::size_t inline_capacity = 16;
+
+  small_bytes() noexcept : buf_{} {}
+  explicit small_bytes(std::span<const std::uint8_t> b) : small_bytes() {
+    assign(b.begin(), b.end());
+  }
+  small_bytes(const small_bytes& o) {
+    if (o.size_ <= inline_capacity) {
+      std::memcpy(buf_, o.data(), inline_capacity);
+      size_ = o.size_;
+      cap_ = inline_capacity;
+    } else {
+      heap_ = new std::uint8_t[o.size_];
+      std::memcpy(heap_, o.heap_, o.size_);
+      size_ = cap_ = o.size_;
+    }
+  }
+  small_bytes(small_bytes&& o) noexcept : size_(o.size_), cap_(o.cap_) {
+    std::memcpy(buf_, o.buf_, inline_capacity);  // the inline bytes or the pointer
+    o.size_ = 0;
+    o.cap_ = inline_capacity;
+  }
+  small_bytes& operator=(const small_bytes& o) {
+    if (this == &o) return *this;
+    if (o.size_ > cap_) {
+      auto* p = new std::uint8_t[o.size_];
+      release();
+      heap_ = p;
+      cap_ = o.size_;
+    }
+    std::memcpy(data(), o.data(), o.size_);
+    size_ = o.size_;
+    return *this;
+  }
+  small_bytes& operator=(small_bytes&& o) noexcept {
+    if (this == &o) return *this;
+    if (o.is_inline()) {
+      // Inline bytes fit any buffer: copy them and keep ours.
+      std::memcpy(data(), o.buf_, inline_capacity);
+    } else {
+      release();
+      heap_ = o.heap_;
+      cap_ = o.cap_;
+      o.cap_ = inline_capacity;
+    }
+    size_ = o.size_;
+    o.size_ = 0;
+    return *this;
+  }
+  ~small_bytes() { release(); }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
+
+  [[nodiscard]] std::uint8_t* data() noexcept { return is_inline() ? buf_ : heap_; }
+  [[nodiscard]] const std::uint8_t* data() const noexcept {
+    return is_inline() ? buf_ : heap_;
+  }
+  [[nodiscard]] iterator begin() noexcept { return data(); }
+  [[nodiscard]] iterator end() noexcept { return data() + size_; }
+  [[nodiscard]] const_iterator begin() const noexcept { return data(); }
+  [[nodiscard]] const_iterator end() const noexcept { return data() + size_; }
+
+  [[nodiscard]] std::uint8_t& operator[](std::size_t i) noexcept {
+    check_index(i);
+    return data()[i];
+  }
+  [[nodiscard]] const std::uint8_t& operator[](std::size_t i) const noexcept {
+    check_index(i);
+    return data()[i];
+  }
+
+  void clear() noexcept { size_ = 0; }
+  void reserve(std::size_t n) {
+    if (n > cap_) regrow(n);
+  }
+  void resize(std::size_t n, std::uint8_t fill = 0) {
+    if (n > cap_) regrow(n > 2 * std::size_t{cap_} ? n : 2 * std::size_t{cap_});
+    if (n > size_) std::memset(data() + size_, fill, n - size_);
+    size_ = static_cast<std::uint32_t>(n);
+  }
+  void push_back(std::uint8_t x) {
+    if (size_ == cap_) regrow(2 * std::size_t{cap_});
+    data()[size_++] = x;
+  }
+  void assign(std::size_t n, std::uint8_t x) {
+    clear();
+    resize(n, x);
+  }
+  template <std::forward_iterator It>
+  void assign(It first, It last) {
+    const auto n = static_cast<std::size_t>(std::distance(first, last));
+    clear();
+    if (n > cap_) regrow(n);
+    std::copy(first, last, data());
+    size_ = static_cast<std::uint32_t>(n);
+  }
+
+  friend bool operator==(const small_bytes& a, const small_bytes& b) noexcept {
+    return a.size_ == b.size_ && (a.size_ == 0 || std::memcmp(a.data(), b.data(), a.size_) == 0);
+  }
+  /// Lexicographic, as std::vector's.
+  friend std::strong_ordering operator<=>(const small_bytes& a, const small_bytes& b) noexcept {
+    const std::size_t n = a.size_ < b.size_ ? a.size_ : b.size_;
+    const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+    if (c != 0) return c < 0 ? std::strong_ordering::less : std::strong_ordering::greater;
+    return a.size_ <=> b.size_;
+  }
+
+ private:
+  [[nodiscard]] bool is_inline() const noexcept { return cap_ == inline_capacity; }
+  void release() noexcept {
+    if (!is_inline()) delete[] heap_;
+  }
+  /// Moves the bytes into a heap buffer of exactly n (> capacity()) bytes.
+  void regrow(std::size_t n);
+  void check_index([[maybe_unused]] std::size_t i) const noexcept {
+#ifdef _GLIBCXX_ASSERTIONS
+    if (i >= size_) [[unlikely]] index_out_of_range(i, size_);
+#endif
+  }
+  [[noreturn]] static void index_out_of_range(std::size_t i, std::size_t size) noexcept;
+
+  union {
+    std::uint8_t buf_[inline_capacity];
+    std::uint8_t* heap_;  // when cap_ > inline_capacity
+  };
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = inline_capacity;
+};
+
+static_assert(sizeof(small_bytes) == sizeof(bytes), "a value must cost what a vector did");
+
 /// A register value: opaque bytes. Empty == the initial value ⊥.
 struct value {
-  bytes data;
+  small_bytes data;
 
   friend bool operator==(const value&, const value&) = default;
 

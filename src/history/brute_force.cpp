@@ -63,7 +63,7 @@ check_result check_atomicity_brute_force(const history_log& h, criterion c) {
   }
   const std::vector<op_record> ops = extract_operations(h, c);
 
-  std::map<bytes, std::size_t> by_value;  // write value -> node (1-based)
+  std::map<small_bytes, std::size_t> by_value;  // write value -> node (1-based)
   std::vector<std::size_t> write_ops;     // op index per node-1
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (ops[i].is_read) continue;

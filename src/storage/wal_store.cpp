@@ -28,6 +28,23 @@ void read_file(const std::filesystem::path& p, bytes& out) {
   out.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
+/// Writes all of `data`, retrying a write that a signal interrupted before it
+/// wrote anything (EINTR). Returns false with errno set on any other error.
+/// fsync gets no such retry: after a failed fsync the kernel may already have
+/// dropped the dirty pages, so every fsync failure stays fatal.
+bool write_all(int fd, std::span<const std::uint8_t> data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 }  // namespace
 
 file_media::file_media(std::filesystem::path dir, bool fsync_enabled)
@@ -62,12 +79,7 @@ void file_media::sync_dir() const {
 }
 
 void file_media::append_log(std::span<const std::uint8_t> data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(log_fd_, data.data() + off, data.size() - off);
-    if (n < 0) fail_media("append wal.log");
-    off += static_cast<std::size_t>(n);
-  }
+  if (!write_all(log_fd_, data)) fail_media("append wal.log");
   if (fsync_enabled_ && ::fsync(log_fd_) != 0) fail_media("fsync wal.log");
 }
 
@@ -77,17 +89,16 @@ void file_media::install_snapshot(const bytes& snapshot) {
   tmp += ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail_media("open " + tmp.string());
-  std::size_t off = 0;
-  while (off < snapshot.size()) {
-    const ssize_t n = ::write(fd, snapshot.data() + off, snapshot.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      fail_media("write " + tmp.string());
-    }
-    off += static_cast<std::size_t>(n);
+  if (!write_all(fd, snapshot)) {
+    const int err = errno;  // close() must not overwrite the write's error
+    ::close(fd);
+    errno = err;
+    fail_media("write " + tmp.string());
   }
   if (fsync_enabled_ && ::fsync(fd) != 0) {
+    const int err = errno;
     ::close(fd);
+    errno = err;
     fail_media("fsync " + tmp.string());
   }
   ::close(fd);

@@ -207,8 +207,9 @@ TEST_F(FileStoreTest, StrayTmpFilesAreSweptAtConstruction) {
 TEST_F(FileStoreTest, LargeRecordRoundTrip) {
   file_store st(dir_, false);
   const value big = value_of_size(64 * 1024);
-  st.store(written0, big.data);
-  EXPECT_EQ(*st.retrieve(written0), big.data);
+  const bytes record(big.data.begin(), big.data.end());
+  st.store(written0, record);
+  EXPECT_EQ(*st.retrieve(written0), record);
 }
 
 }  // namespace
