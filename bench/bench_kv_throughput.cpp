@@ -232,7 +232,16 @@ int main(int argc, char** argv) {
     std::uint64_t case_bytes = 0;
     for (int i = 0; i < reps; ++i) {
       const auto r = run_case(kc, ops, 1 + static_cast<std::uint64_t>(i));
-      if (r.keyed_ops_per_sec > best.keyed_ops_per_sec || i == 0) best = r;
+      // Virtual-time results (bytes, percentiles, lease and retransmit
+      // counts) come from seed 1, so they are reproducible; the reps are
+      // different seeds and only the wall-clock rates take the best of them.
+      if (i == 0) {
+        best = r;
+      } else if (r.keyed_ops_per_sec > best.keyed_ops_per_sec) {
+        best.wall_ms = r.wall_ms;
+        best.keyed_ops_per_sec = r.keyed_ops_per_sec;
+        best.events_per_sec = r.events_per_sec;
+      }
       if (r.verified && !r.atomic) all_atomic = false;
       case_bytes += r.net_bytes;
     }

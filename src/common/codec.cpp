@@ -49,15 +49,6 @@ std::uint64_t byte_reader::get_u64() {
   return x;
 }
 
-bytes byte_reader::get_bytes() {
-  const auto n = get_u32();
-  need(n);
-  bytes out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
 value byte_reader::get_value() {
   const auto n = get_u32();
   need(n);

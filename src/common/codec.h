@@ -53,7 +53,6 @@ class byte_reader {
   [[nodiscard]] std::uint32_t get_u32();
   [[nodiscard]] std::uint64_t get_u64();
   [[nodiscard]] std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
-  [[nodiscard]] bytes get_bytes();
   [[nodiscard]] std::string get_string();
   [[nodiscard]] process_id get_process() { return process_id{get_u32()}; }
   [[nodiscard]] tag get_tag();

@@ -10,11 +10,14 @@
 // checker projection. Their bytes live in a small_bytes, which keeps up to 16
 // bytes inline and spills to the heap beyond that, so the integer payloads
 // the experiments and the fuzzer write (4 and 8 bytes) never allocate.
-//  * 16 bytes is what fits beside a pointer-sized union member and two u32
-//    counters in 24 bytes: the footprint of a std::vector, so a value costs no
-//    more in a message, an event or a quorum_core replica slot (four values)
-//    than it did as a vector. A larger inline buffer would grow every one of
-//    them; 16 already covers u32/u64 values and short strings.
+//  * Footprint: a 16-byte union (the inline bytes, or the heap pointer) plus
+//    a u32 size and a u32 capacity make 24 bytes, the size of a std::vector.
+//    A value therefore costs no more in a message, a history event or a
+//    quorum_core replica slot (four values) than it did as a vector.
+//  * Why 16: it is the most that fits in those 24 bytes, and it covers the
+//    u32/u64 values and short strings. A larger inline buffer would grow
+//    every message, event and slot; larger payloads (sim_kv's 64 bytes, Fig. 6
+//    bottom) take the heap path as before.
 //  * The heap path keeps std::vector's semantics: a copy allocates exactly
 //    the source's size, clear() keeps the capacity (quorum_core reuses
 //    cleared buffers), and a move steals the buffer and leaves the source
@@ -43,10 +46,6 @@ using bytes = std::vector<std::uint8_t>;
 class small_bytes {
  public:
   using value_type = std::uint8_t;
-  using size_type = std::size_t;
-  using difference_type = std::ptrdiff_t;
-  using reference = std::uint8_t&;
-  using const_reference = const std::uint8_t&;
   using iterator = std::uint8_t*;
   using const_iterator = const std::uint8_t*;
 

@@ -297,6 +297,16 @@ TEST(ValueBytes, MovedFromValueIsInitial) {
   }
 }
 
+#ifdef _GLIBCXX_ASSERTIONS
+// Builds with checked standard-library indexing check value bytes too.
+TEST(ValueBytesDeathTest, IndexPastSizeAborts) {
+  const value v = value_of_u32(7);
+  EXPECT_DEATH((void)v.data[4], "out of range");
+  const value big = value_of_size(40);
+  EXPECT_DEATH((void)big.data[40], "out of range");
+}
+#endif
+
 TEST(Codec, PrimitivesRoundTrip) {
   byte_writer w;
   w.put_u8(7);
@@ -342,7 +352,7 @@ TEST(Codec, BadLengthPrefixThrows) {
   byte_writer w;
   w.put_u32(1000);  // claims 1000 bytes follow; none do
   byte_reader r(w.buffer());
-  EXPECT_THROW((void)r.get_bytes(), codec_error);
+  EXPECT_THROW((void)r.get_value(), codec_error);
 }
 
 TEST(Rng, Deterministic) {
