@@ -286,13 +286,13 @@ TEST(ValueBytes, MovedFromValueIsInitial) {
     value a = value_of_size(n);
     const value copy = a;
     const value b = std::move(a);
-    EXPECT_TRUE(a.is_initial()) << "size " << n;  // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(a.is_initial()) << "size " << n;  // the moved-from state is part of the contract
     EXPECT_EQ(b, copy) << "size " << n;
 
     value c = value_of_size(n, 3);
     value d = value_of_size(n + 1, 4);
     d = std::move(c);
-    EXPECT_TRUE(c.is_initial()) << "size " << n;  // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(c.is_initial()) << "size " << n;
     EXPECT_EQ(d, value_of_size(n, 3)) << "size " << n;
   }
 }
