@@ -297,6 +297,222 @@ TEST(ValueBytes, MovedFromValueIsInitial) {
   }
 }
 
+// Copies must behave as independent byte strings whatever their
+// representation: a mutation of one side never shows through the other.
+value_bytes bytes_of(const ref_bytes& b) {
+  value_bytes v;
+  v.assign(b.begin(), b.end());
+  return v;
+}
+
+bool same(const value_bytes& got, const ref_bytes& want) {
+  return std::equal(got.begin(), got.end(), want.begin(), want.end());
+}
+
+struct mutator {
+  const char* name;
+  void (*apply)(value_bytes&, ref_bytes&);
+};
+
+const mutator kMutators[] = {
+    {"resize-grow", [](value_bytes& v, ref_bytes& r) { v.resize(v.size() + 3); r.resize(r.size() + 3); }},
+    {"resize-shrink-regrow",
+     [](value_bytes& v, ref_bytes& r) {
+       const std::size_t n = v.size();
+       v.resize(n / 2);
+       r.resize(n / 2);
+       v.resize(n, 0x11);
+       r.resize(n, 0x11);
+     }},
+    {"resize-fill", [](value_bytes& v, ref_bytes& r) { v.resize(v.size() + 40, 0xab); r.resize(r.size() + 40, 0xab); }},
+    {"push_back", [](value_bytes& v, ref_bytes& r) { v.push_back(0x42); r.push_back(0x42); }},
+    {"assign-fill", [](value_bytes& v, ref_bytes& r) { v.assign(v.size(), 0x33); r.assign(r.size(), 0x33); }},
+    {"assign-range",
+     [](value_bytes& v, ref_bytes& r) {
+       ref_bytes src(v.size() + 1);
+       for (std::size_t i = 0; i < src.size(); ++i) src[i] = static_cast<std::uint8_t>(i * 7 + 1);
+       v.assign(src.begin(), src.end());
+       r.assign(src.begin(), src.end());
+     }},
+    {"clear", [](value_bytes& v, ref_bytes& r) { v.clear(); r.clear(); }},
+    {"reserve", [](value_bytes& v, ref_bytes& r) { v.reserve(2 * v.size() + 64); r.reserve(2 * r.size() + 64); }},
+    {"index",
+     [](value_bytes& v, ref_bytes& r) {
+       if (r.empty()) return;
+       v[r.size() - 1] ^= 0xff;
+       r[r.size() - 1] ^= 0xff;
+     }},
+    {"begin",
+     [](value_bytes& v, ref_bytes& r) {
+       if (r.empty()) return;
+       *v.begin() ^= 0x0f;
+       r[0] ^= 0x0f;
+     }},
+    {"end",
+     [](value_bytes& v, ref_bytes& r) {
+       if (r.empty()) return;
+       *(v.end() - 1) ^= 0xf0;
+       r.back() ^= 0xf0;
+     }},
+    {"data",
+     [](value_bytes& v, ref_bytes& r) {
+       if (r.empty()) return;
+       v.data()[r.size() / 2] ^= 0x3c;
+       r[r.size() / 2] ^= 0x3c;
+     }},
+    {"copy-assign",
+     [](value_bytes& v, ref_bytes& r) {
+       const value_bytes other = value_of_size(r.size() + 5, 9).data;
+       v = other;
+       r.assign(other.begin(), other.end());
+     }},
+    {"move-assign",
+     [](value_bytes& v, ref_bytes& r) {
+       value_bytes other = value_of_size(r.size() / 2, 8).data;
+       r.assign(other.begin(), other.end());
+       v = std::move(other);
+     }},
+};
+
+TEST(ValueBytes, CopiesAreIndependentUnderEveryMutator) {
+  for (const std::size_t n : kEdgeSizes) {
+    const value_bytes original_bytes = value_of_size(n, 5).data;
+    const ref_bytes original(original_bytes.begin(), original_bytes.end());
+    for (const mutator& m : kMutators) {
+      for (const bool mutate_copy : {false, true}) {
+        for (const bool by_assignment : {false, true}) {
+          value_bytes a = bytes_of(original);
+          value_bytes b;
+          if (by_assignment) {
+            b = a;
+          } else {
+            b = value_bytes(a);
+          }
+          value_bytes& target = mutate_copy ? b : a;
+          const value_bytes& other = mutate_copy ? a : b;
+          ref_bytes want = original;
+          m.apply(target, want);
+          const std::string where = std::string(m.name) + " size " + std::to_string(n) +
+                                    (mutate_copy ? " on the copy" : " on the original") +
+                                    (by_assignment ? " (copy-assigned)" : " (copy-constructed)");
+          EXPECT_TRUE(same(target, want)) << where;
+          EXPECT_TRUE(same(other, original)) << where;
+          // A second round: mutating the other side afterwards leaves the first alone.
+          value_bytes& second = mutate_copy ? a : b;
+          ref_bytes want_second = original;
+          m.apply(second, want_second);
+          EXPECT_TRUE(same(second, want_second)) << where;
+          EXPECT_TRUE(same(target, want)) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ValueBytes, PointerTakenBeforeCopyNeverWritesIntoCopy) {
+  for (const std::size_t n : kEdgeSizes) {
+    if (n == 0) continue;
+    const ref_bytes original = [&] {
+      const value_bytes v = value_of_size(n, 6).data;
+      return ref_bytes(v.begin(), v.end());
+    }();
+    const std::string where = "size " + std::to_string(n);
+
+    // Pointer, reference and iterator taken from a value held by one owner.
+    {
+      value_bytes a = bytes_of(original);
+      std::uint8_t* p = a.data();
+      std::uint8_t& last = a[n - 1];
+      auto it = a.begin();
+      const value_bytes b(a);
+      value_bytes c;
+      c = a;
+      ref_bytes want = original;
+      p[n / 2] ^= 0x01;
+      want[n / 2] ^= 0x01;
+      last ^= 0x02;
+      want[n - 1] ^= 0x02;
+      *it ^= 0x04;
+      want[0] ^= 0x04;
+      EXPECT_TRUE(same(a, want)) << where;
+      EXPECT_TRUE(same(b, original)) << where;
+      EXPECT_TRUE(same(c, original)) << where;
+    }
+
+    // The same from a value that was already shared when the pointer was taken.
+    {
+      value_bytes a = bytes_of(original);
+      const value_bytes before(a);
+      std::uint8_t* p = a.data();
+      const value_bytes after(a);
+      p[0] ^= 0x80;
+      ref_bytes want = original;
+      want[0] ^= 0x80;
+      EXPECT_TRUE(same(a, want)) << where;
+      EXPECT_TRUE(same(before, original)) << where;
+      EXPECT_TRUE(same(after, original)) << where;
+    }
+
+    // A pointer stays valid across a push_back that fits the capacity, so a
+    // copy made after that push_back must not see a later write through it.
+    {
+      value_bytes a = bytes_of(original);
+      a.reserve(n + 1);
+      std::uint8_t& first = a[0];
+      const value_bytes b(a);
+      a.push_back(0x99);
+      const value_bytes c(a);
+      first ^= 0x10;
+      ref_bytes want = original;
+      want.push_back(0x99);
+      ref_bytes want_c = want;
+      want[0] ^= 0x10;
+      EXPECT_TRUE(same(a, want)) << where;
+      EXPECT_TRUE(same(b, original)) << where;
+      EXPECT_TRUE(same(c, want_c)) << where;
+    }
+  }
+}
+
+TEST(ValueBytes, ClearOnSharedBytesThenWrite) {
+  for (const std::size_t n : kEdgeSizes) {
+    const ref_bytes original = [&] {
+      const value_bytes v = value_of_size(n, 7).data;
+      return ref_bytes(v.begin(), v.end());
+    }();
+    const std::string where = "size " + std::to_string(n);
+    for (const bool clear_copy : {false, true}) {
+      value_bytes a = bytes_of(original);
+      value_bytes b(a);
+      value_bytes& cleared = clear_copy ? b : a;
+      const value_bytes& kept = clear_copy ? a : b;
+      const std::size_t cap = cleared.capacity();
+      cleared.clear();
+      EXPECT_EQ(cleared.capacity(), cap) << where;
+      EXPECT_TRUE(cleared.empty()) << where;
+      EXPECT_TRUE(same(kept, original)) << where;
+
+      cleared.push_back(0x5e);
+      EXPECT_TRUE(same(cleared, ref_bytes{0x5e})) << where;
+      cleared.resize(n + 2, 0x21);
+      cleared[0] = 0x01;
+      ref_bytes want(n + 2, 0x21);
+      want[0] = 0x01;
+      EXPECT_TRUE(same(cleared, want)) << where;
+      EXPECT_TRUE(same(kept, original)) << where;
+
+      // clear() and a write through data() after re-filling.
+      cleared.clear();
+      cleared.resize(n);
+      if (n > 0) cleared.data()[n - 1] = 0x77;
+      ref_bytes want2(n, 0);
+      if (n > 0) want2[n - 1] = 0x77;
+      EXPECT_TRUE(same(cleared, want2)) << where;
+      EXPECT_TRUE(same(kept, original)) << where;
+    }
+  }
+}
+
 #ifdef _GLIBCXX_ASSERTIONS
 // Builds with checked standard-library indexing check value bytes too.
 TEST(ValueBytesDeathTest, IndexPastSizeAborts) {
