@@ -24,15 +24,26 @@ constexpr std::array<char, 16> hex = {'0', '1', '2', '3', '4', '5', '6', '7',
 
 }  // namespace
 
-void small_bytes::regrow(std::size_t n) {
+std::uint8_t* small_bytes::allocate(std::size_t n) {
   if (n > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("small_bytes: size exceeds 2^32 - 1 bytes");
   }
-  auto* p = new std::uint8_t[n];
-  std::memcpy(p, data(), size_);
+  auto* block = static_cast<std::uint8_t*>(::operator new(header_bytes + n));
+  ::new (block) block_header{1};
+  return block + header_bytes;
+}
+
+void small_bytes::regrow(std::size_t n) {
+  auto* p = allocate(n);
+  std::memcpy(p, raw(), size_);
   release();
   heap_ = p;
   cap_ = static_cast<std::uint32_t>(n);
+}
+
+void small_bytes::pin_block() {
+  if (!writable()) regrow(cap_);
+  head().refs.store(0, std::memory_order_relaxed);
 }
 
 void small_bytes::index_out_of_range(std::size_t i, std::size_t size) noexcept {
@@ -75,10 +86,12 @@ std::string value_as_string(const value& v) {
 value value_of_size(std::size_t n, std::uint8_t seed) {
   value v;
   v.data.resize(n);
+  // Writes through raw(): data() would pin the fresh block and stop its copies sharing it.
+  std::uint8_t* out = v.data.raw();
   std::uint8_t x = seed;
-  for (auto& b : v.data) {
+  for (std::size_t i = 0; i < n; ++i) {
     x = static_cast<std::uint8_t>(x * 167 + 13);
-    b = x;
+    out[i] = x;
   }
   return v;
 }

@@ -5,32 +5,46 @@
 // helpers build values from integers/strings for tests and examples. The
 // empty value stands for the initial ⊥.
 //
-// Values are copied everywhere: by the workload generator, by a replica that
-// adopts a write, into op results, into every history event and into every
-// checker projection. Their bytes live in a small_bytes, which keeps up to 16
-// bytes inline and spills to the heap beyond that, so the integer payloads
-// the experiments and the fuzzer write (4 and 8 bytes) never allocate.
+// Values are shared, not copied. A value passes through the workload
+// generator, an op result, every message, each replica's slot, every history
+// event and every checker projection; its bytes live in a small_bytes, which
+// keeps up to 16 bytes inline and puts larger payloads in one heap block that
+// all copies share (copy-on-write).
 //  * Footprint: a 16-byte union (the inline bytes, or the heap pointer) plus
 //    a u32 size and a u32 capacity make 24 bytes, the size of a std::vector.
 //    A value therefore costs no more in a message, a history event or a
 //    quorum_core replica slot (four values) than it did as a vector.
-//  * Why 16: it is the most that fits in those 24 bytes, and it covers the
-//    u32/u64 values and short strings. A larger inline buffer would grow
-//    every message, event and slot; larger payloads (sim_kv's 64 bytes, Fig. 6
-//    bottom) take the heap path as before.
-//  * The heap path keeps std::vector's semantics: a copy allocates exactly
-//    the source's size, clear() keeps the capacity (quorum_core reuses
-//    cleared buffers), and a move steals the buffer and leaves the source
-//    empty, i.e. ⊥.
+//  * Why 16 stays the inline size: it is the most that fits in those 24
+//    bytes, and it covers the u32/u64 values and short strings the
+//    experiments and the fuzzer write, which so never allocate. A copy of an
+//    inline value is a 24-byte copy, cheaper than any reference count.
+//  * The heap block starts with an atomic reference count. A copy increments
+//    it (one relaxed atomic add) and shares the block; the last owner frees
+//    it. A sole owner frees without an atomic read-modify-write, so an
+//    unshared value costs what it did as a vector apart from the 8-byte
+//    header. Every member that writes bytes first takes a private copy of a
+//    shared block, and ==/<=> return at once when both sides hold one block.
+//  * std::vector's semantics stay: clear() keeps the capacity (quorum_core
+//    reuses cleared buffers), a move steals the block and leaves the source
+//    empty, i.e. ⊥, and a pointer or reference taken through non-const
+//    access (data(), begin(), end(), operator[]) never writes into a copy
+//    made later: such access pins the block to this value, so copies of it
+//    copy the bytes, until the next clear(), assign(), assignment or
+//    reallocation, which invalidate the pointer as they do for a vector.
+//    Unlike a vector, a pointer taken through const access is valid only
+//    until the next mutation of the value, and non-const access must not
+//    race with a copy of the same object from another thread.
 // Wire frames and WAL records stay plain `bytes`.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -41,7 +55,10 @@ namespace remus {
 
 using bytes = std::vector<std::uint8_t>;
 
-/// A byte string with vector semantics that stores up to 16 bytes inline.
+struct value;
+
+/// A byte string with vector semantics that stores up to 16 bytes inline and
+/// shares larger payloads between copies (copy-on-write).
 /// Sizes are limited to 2^32 - 1 bytes (the codec's length prefix).
 class small_bytes {
  public:
@@ -57,11 +74,16 @@ class small_bytes {
   }
   small_bytes(const small_bytes& o) {
     if (o.size_ <= inline_capacity) {
-      std::memcpy(buf_, o.data(), inline_capacity);
+      std::memcpy(buf_, o.raw(), inline_capacity);
       size_ = o.size_;
       cap_ = inline_capacity;
-    } else {
-      heap_ = new std::uint8_t[o.size_];
+    } else if (o.head().refs.load(std::memory_order_relaxed) != 0) {
+      o.head().refs.fetch_add(1, std::memory_order_relaxed);
+      heap_ = o.heap_;
+      size_ = o.size_;
+      cap_ = o.cap_;
+    } else {  // pinned: a pointer into it may still write
+      heap_ = allocate(o.size_);
       std::memcpy(heap_, o.heap_, o.size_);
       size_ = cap_ = o.size_;
     }
@@ -73,21 +95,25 @@ class small_bytes {
   }
   small_bytes& operator=(const small_bytes& o) {
     if (this == &o) return *this;
-    if (o.size_ > cap_) {
-      auto* p = new std::uint8_t[o.size_];
+    if (o.size_ > inline_capacity && o.head().refs.load(std::memory_order_relaxed) != 0) {
+      o.head().refs.fetch_add(1, std::memory_order_relaxed);
       release();
-      heap_ = p;
-      cap_ = o.size_;
+      heap_ = o.heap_;
+      cap_ = o.cap_;
+    } else {
+      drop_bytes();
+      if (o.size_ > cap_) regrow(o.size_);
+      std::memcpy(raw(), o.raw(), o.size_);
     }
-    std::memcpy(data(), o.data(), o.size_);
     size_ = o.size_;
     return *this;
   }
   small_bytes& operator=(small_bytes&& o) noexcept {
     if (this == &o) return *this;
     if (o.is_inline()) {
-      // Inline bytes fit any buffer: copy them and keep ours.
-      std::memcpy(data(), o.buf_, inline_capacity);
+      // Inline bytes fit any buffer we may write: copy them and keep ours.
+      drop_bytes();
+      std::memcpy(raw(), o.buf_, inline_capacity);
     } else {
       release();
       heap_ = o.heap_;
@@ -104,67 +130,134 @@ class small_bytes {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
 
-  [[nodiscard]] std::uint8_t* data() noexcept { return is_inline() ? buf_ : heap_; }
-  [[nodiscard]] const std::uint8_t* data() const noexcept {
-    return is_inline() ? buf_ : heap_;
+  // Non-const access pins the bytes to this value (see the file comment).
+  [[nodiscard]] std::uint8_t* data() {
+    pin();
+    return raw();
   }
-  [[nodiscard]] iterator begin() noexcept { return data(); }
-  [[nodiscard]] iterator end() noexcept { return data() + size_; }
-  [[nodiscard]] const_iterator begin() const noexcept { return data(); }
-  [[nodiscard]] const_iterator end() const noexcept { return data() + size_; }
+  [[nodiscard]] const std::uint8_t* data() const noexcept { return raw(); }
+  [[nodiscard]] iterator begin() { return data(); }
+  [[nodiscard]] iterator end() { return data() + size_; }
+  [[nodiscard]] const_iterator begin() const noexcept { return raw(); }
+  [[nodiscard]] const_iterator end() const noexcept { return raw() + size_; }
 
-  [[nodiscard]] std::uint8_t& operator[](std::size_t i) noexcept {
+  [[nodiscard]] std::uint8_t& operator[](std::size_t i) {
     check_index(i);
     return data()[i];
   }
   [[nodiscard]] const std::uint8_t& operator[](std::size_t i) const noexcept {
     check_index(i);
-    return data()[i];
+    return raw()[i];
   }
 
-  void clear() noexcept { size_ = 0; }
+  void clear() noexcept {
+    size_ = 0;
+    // Keeps the block, shared or not; an owned one may be shared again.
+    if (!is_inline() && head().refs.load(std::memory_order_relaxed) == 0) {
+      head().refs.store(1, std::memory_order_relaxed);
+    }
+  }
   void reserve(std::size_t n) {
     if (n > cap_) regrow(n);
   }
   void resize(std::size_t n, std::uint8_t fill = 0) {
-    if (n > cap_) regrow(n > 2 * std::size_t{cap_} ? n : 2 * std::size_t{cap_});
-    if (n > size_) std::memset(data() + size_, fill, n - size_);
+    if (n > size_) {
+      if (n > cap_) {
+        regrow(n > 2 * std::size_t{cap_} ? n : 2 * std::size_t{cap_});
+      } else if (!writable()) {
+        regrow(cap_);
+      }
+      std::memset(raw() + size_, fill, n - size_);
+    }
     size_ = static_cast<std::uint32_t>(n);
   }
   void push_back(std::uint8_t x) {
-    if (size_ == cap_) regrow(2 * std::size_t{cap_});
-    data()[size_++] = x;
+    if (size_ == cap_) {
+      regrow(2 * std::size_t{cap_});
+    } else if (!writable()) {
+      regrow(cap_);
+    }
+    raw()[size_++] = x;
   }
   void assign(std::size_t n, std::uint8_t x) {
-    clear();
-    resize(n, x);
+    drop_bytes();
+    if (n > cap_) regrow(n);
+    std::memset(raw(), x, n);
+    size_ = static_cast<std::uint32_t>(n);
   }
   template <std::forward_iterator It>
   void assign(It first, It last) {
     const auto n = static_cast<std::size_t>(std::distance(first, last));
-    clear();
+    drop_bytes();
     if (n > cap_) regrow(n);
-    std::copy(first, last, data());
+    std::copy(first, last, raw());
     size_ = static_cast<std::uint32_t>(n);
   }
 
   friend bool operator==(const small_bytes& a, const small_bytes& b) noexcept {
-    return a.size_ == b.size_ && (a.size_ == 0 || std::memcmp(a.data(), b.data(), a.size_) == 0);
+    return a.size_ == b.size_ &&
+           (a.size_ == 0 || a.raw() == b.raw() || std::memcmp(a.raw(), b.raw(), a.size_) == 0);
   }
   /// Lexicographic, as std::vector's.
   friend std::strong_ordering operator<=>(const small_bytes& a, const small_bytes& b) noexcept {
     const std::size_t n = a.size_ < b.size_ ? a.size_ : b.size_;
-    const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+    const int c = n == 0 || a.raw() == b.raw() ? 0 : std::memcmp(a.raw(), b.raw(), n);
     if (c != 0) return c < 0 ? std::strong_ordering::less : std::strong_ordering::greater;
     return a.size_ <=> b.size_;
   }
 
  private:
+  friend value value_of_size(std::size_t n, std::uint8_t seed);
+
+  /// Precedes the bytes of every heap block. refs counts the values that
+  /// share the block; 0 means one value owns it and has pinned it.
+  struct block_header {
+    std::atomic<std::uint32_t> refs;
+  };
+  static constexpr std::size_t header_bytes = 8;  // keeps the bytes 8-byte aligned
+  static_assert(sizeof(block_header) <= header_bytes);
+
   [[nodiscard]] bool is_inline() const noexcept { return cap_ == inline_capacity; }
-  void release() noexcept {
-    if (!is_inline()) delete[] heap_;
+  [[nodiscard]] std::uint8_t* raw() noexcept { return is_inline() ? buf_ : heap_; }
+  [[nodiscard]] const std::uint8_t* raw() const noexcept { return is_inline() ? buf_ : heap_; }
+  [[nodiscard]] block_header& head() const noexcept {
+    return *std::launder(reinterpret_cast<block_header*>(heap_ - header_bytes));
   }
-  /// Moves the bytes into a heap buffer of exactly n (> capacity()) bytes.
+  /// True when no other value shares the bytes, so they may be written.
+  [[nodiscard]] bool writable() const noexcept {
+    return is_inline() || head().refs.load(std::memory_order_acquire) <= 1;
+  }
+  void release() noexcept {
+    if (is_inline()) return;
+    // A sole owner frees without a read-modify-write; the acquire load
+    // orders the other owners' last reads (their releasing decrements) first.
+    auto& refs = head().refs;
+    if (refs.load(std::memory_order_acquire) <= 1 ||
+        refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      ::operator delete(heap_ - header_bytes);
+    }
+  }
+  /// Empties the bytes and makes the buffer writable without allocating: a
+  /// shared block is given up for the inline buffer, an owned one is kept.
+  void drop_bytes() noexcept {
+    size_ = 0;
+    if (is_inline()) return;
+    if (writable()) {
+      head().refs.store(1, std::memory_order_relaxed);
+    } else {
+      release();
+      cap_ = inline_capacity;
+    }
+  }
+  void pin() {
+    if (!is_inline() && head().refs.load(std::memory_order_relaxed) != 0) pin_block();
+  }
+  /// Takes a private copy of a shared block, then marks the block pinned.
+  void pin_block();
+  /// A heap block of n bytes, with one owner.
+  [[nodiscard]] static std::uint8_t* allocate(std::size_t n);
+  /// Moves the bytes into a new private heap block of n (>= size(), >
+  /// inline_capacity) bytes.
   void regrow(std::size_t n);
   void check_index([[maybe_unused]] std::size_t i) const noexcept {
 #ifdef _GLIBCXX_ASSERTIONS
@@ -175,7 +268,7 @@ class small_bytes {
 
   union {
     std::uint8_t buf_[inline_capacity];
-    std::uint8_t* heap_;  // when cap_ > inline_capacity
+    std::uint8_t* heap_;  // the bytes of a heap block, when cap_ > inline_capacity
   };
   std::uint32_t size_ = 0;
   std::uint32_t cap_ = inline_capacity;

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <iterator>
+#include <latch>
+#include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "common/codec.h"
@@ -510,6 +514,43 @@ TEST(ValueBytes, ClearOnSharedBytesThenWrite) {
       EXPECT_TRUE(same(cleared, want2)) << where;
       EXPECT_TRUE(same(kept, original)) << where;
     }
+  }
+}
+
+TEST(ValueBytes, ThreadsCopyAndDestroyCopiesOfOneSharedValue) {
+  constexpr int kThreads = 4;
+  for (const std::size_t n : {std::size_t{17}, std::size_t{64}, std::size_t{64 * 1024}}) {
+    auto original = std::make_unique<const value>(value_of_size(n, 3));
+    const ref_bytes want(original->data.begin(), original->data.end());
+    std::atomic<int> mismatches{0};
+    std::latch start(kThreads);
+    std::latch copied(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // All threads copy the one object at once, then keep only their own
+        // copies, so the last reference may be dropped on any thread.
+        start.arrive_and_wait();
+        const value mine = *original;
+        copied.count_down();
+        std::vector<value> copies;
+        for (int i = 0; i < 2000; ++i) {
+          copies.push_back(mine);
+          value assigned;
+          assigned = copies.back();
+          if (!(assigned == mine) || !same(assigned.data, want)) mismatches.fetch_add(1);
+          if (i % 7 == t) copies.back().data.push_back(0x01);  // one copy goes private
+          if (copies.size() > 16) copies.erase(copies.begin(), copies.begin() + 9);
+        }
+        for (const value& c : copies) {
+          if (c.size() != n + 1 && !same(c.data, want)) mismatches.fetch_add(1);
+        }
+      });
+    }
+    copied.wait();
+    original.reset();
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(mismatches.load(), 0) << "size " << n;
   }
 }
 
