@@ -19,6 +19,7 @@ std::string to_string(msg_kind k) {
 
 bytes encode(const message& m) {
   byte_writer w;
+  w.reserve(wire_size(m));
   w.put_u8(static_cast<std::uint8_t>(m.kind));
   w.put_process(m.from);
   w.put_u64(m.op_seq);

@@ -76,6 +76,26 @@ TEST(Message, WireSizeMatchesEncodedSize) {
   EXPECT_EQ(wire_size(m), encode(m).size());
   m.val = initial_value();
   EXPECT_EQ(wire_size(m), encode(m).size());
+  // encode sizes its buffer once, up front: the frame never regrows.
+  m.val = value_of_u32(5);
+  EXPECT_EQ(encode(m).capacity(), wire_size(m));
+
+  message batched;
+  batched.kind = msg_kind::write;
+  batched.from = process_id{2};
+  for (std::uint32_t k = 0; k < 5; ++k) {
+    batched.batch.push_back({k, tag{k + 1, 0, process_id{2}}, value_of_size(10 + 20 * k)});
+  }
+  EXPECT_EQ(wire_size(batched), encode(batched).size());
+  EXPECT_EQ(encode(batched).capacity(), wire_size(batched));
+
+  message leased;
+  leased.kind = msg_kind::read_ack;
+  leased.from = process_id{0};
+  leased.val = value_of_size(64);
+  leased.leases = {{3, 0b101}, {9, 0b010}};
+  EXPECT_EQ(wire_size(leased), encode(leased).size());
+  EXPECT_EQ(encode(leased).capacity(), wire_size(leased));
 }
 
 TEST(Message, DecodeRejectsGarbage) {
