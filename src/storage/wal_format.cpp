@@ -6,19 +6,34 @@ namespace remus::storage {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8: table k maps a byte to its CRC contribution when k more zero
+// bytes follow it, so eight table lookups advance the state by eight bytes.
+// Table 0 is the bytewise table; all eight come from the one polynomial.
+using crc32_tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr crc32_tables make_crc32_tables() {
+  crc32_tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> crc32_table = make_crc32_table();
+constexpr crc32_tables crc32_table = make_crc32_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 void put_u32(bytes& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -45,8 +60,18 @@ bool valid_area(std::uint8_t a) {
 
 std::uint32_t crc32_update(std::uint32_t state,
                            std::span<const std::uint8_t> data) noexcept {
-  for (std::uint8_t b : data) {
-    state = crc32_table[(state ^ b) & 0xFFu] ^ (state >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ state;
+    const std::uint32_t hi = load_le32(p + 4);
+    state = crc32_table[7][lo & 0xFFu] ^ crc32_table[6][(lo >> 8) & 0xFFu] ^
+            crc32_table[5][(lo >> 16) & 0xFFu] ^ crc32_table[4][lo >> 24] ^
+            crc32_table[3][hi & 0xFFu] ^ crc32_table[2][(hi >> 8) & 0xFFu] ^
+            crc32_table[1][(hi >> 16) & 0xFFu] ^ crc32_table[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    state = crc32_table[0][(state ^ *p) & 0xFFu] ^ (state >> 8);
   }
   return state;
 }

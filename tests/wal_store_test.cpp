@@ -52,6 +52,36 @@ TEST(WalFormat, IncrementalCrcMatchesOneShot) {
   EXPECT_EQ(crc32_final(st), crc32_of(data));
 }
 
+// The bitwise definition of the reflected CRC32, one bit per step.
+std::uint32_t crc32_bitwise(std::uint32_t state, std::span<const std::uint8_t> data) {
+  for (const std::uint8_t b : data) {
+    state ^= b;
+    for (int k = 0; k < 8; ++k) state = (state & 1u) ? (0xEDB88320u ^ (state >> 1)) : (state >> 1);
+  }
+  return state;
+}
+
+TEST(WalFormat, Crc32MatchesBitwiseReferenceAtEveryLengthOffsetAndSplit) {
+  constexpr std::size_t kMaxLen = 300;
+  constexpr std::size_t kOffsets = 8;
+  rng r(17);
+  std::vector<std::uint8_t> buf(kMaxLen + kOffsets);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(r.next_u64());
+  for (std::size_t offset = 0; offset < kOffsets; ++offset) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const auto data = std::span<const std::uint8_t>(buf).subspan(offset, len);
+      const std::uint32_t want = crc32_bitwise(crc32_init, data);
+      ASSERT_EQ(crc32_update(crc32_init, data), want) << "offset " << offset << " len " << len;
+      ASSERT_EQ(crc32_of(data), crc32_final(want)) << "offset " << offset << " len " << len;
+      for (std::size_t split = 0; split <= len; ++split) {
+        const std::uint32_t st = crc32_update(crc32_update(crc32_init, data.first(split)),
+                                              data.subspan(split));
+        ASSERT_EQ(st, want) << "offset " << offset << " len " << len << " split " << split;
+      }
+    }
+  }
+}
+
 TEST(WalFormat, FrameRoundTripsThroughTheScanner) {
   bytes log;
   append_wal_frame(log, wal_frame_kind::record, written7, b({9, 8, 7}));
