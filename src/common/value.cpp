@@ -41,7 +41,55 @@ void small_bytes::regrow(std::size_t n) {
   cap_ = static_cast<std::uint32_t>(n);
 }
 
-void small_bytes::pin_block() {
+void small_bytes::copy_heap(const small_bytes& o) {
+  if (o.head().refs.load(std::memory_order_relaxed) != 0) {
+    o.head().refs.fetch_add(1, std::memory_order_relaxed);
+    heap_ = o.heap_;
+    size_ = o.size_;
+    cap_ = o.cap_;
+  } else {  // pinned: a pointer into it may still write
+    heap_ = allocate(o.size_);
+    std::memcpy(heap_, o.heap_, o.size_);
+    size_ = cap_ = o.size_;
+  }
+}
+
+void small_bytes::assign_heap(const small_bytes& o) {
+  if (o.size_ > inline_capacity && o.head().refs.load(std::memory_order_relaxed) != 0) {
+    o.head().refs.fetch_add(1, std::memory_order_relaxed);
+    release();
+    heap_ = o.heap_;
+    size_ = o.size_;
+    cap_ = o.cap_;
+    return;
+  }
+  drop_bytes();
+  if (o.size_ > cap_) regrow(o.size_);
+  std::memcpy(raw(), o.raw(), o.size_);
+  size_ = o.size_;
+}
+
+void small_bytes::release_heap() noexcept {
+  // A sole owner frees without a read-modify-write; the acquire load orders
+  // the other owners' last reads (their releasing decrements) first.
+  auto& refs = head().refs;
+  if (refs.load(std::memory_order_acquire) <= 1 ||
+      refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    ::operator delete(heap_ - header_bytes);
+  }
+}
+
+void small_bytes::drop_heap() noexcept {
+  if (writable()) {
+    head().refs.store(1, std::memory_order_relaxed);
+  } else {
+    release_heap();
+    cap_ = inline_capacity;
+  }
+}
+
+void small_bytes::pin_heap() {
+  if (head().refs.load(std::memory_order_relaxed) == 0) return;  // pinned already
   if (!writable()) regrow(cap_);
   head().refs.store(0, std::memory_order_relaxed);
 }

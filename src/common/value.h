@@ -19,18 +19,25 @@
 //    experiments and the fuzzer write, which so never allocate. A copy of an
 //    inline value is a 24-byte copy, cheaper than any reference count.
 //  * The heap block starts with an atomic reference count. A copy increments
-//    it (one relaxed atomic add) and shares the block; the last owner frees
-//    it. A sole owner frees without an atomic read-modify-write, so an
-//    unshared value costs what it did as a vector apart from the 8-byte
-//    header. Every member that writes bytes first takes a private copy of a
-//    shared block, and ==/<=> return at once when both sides hold one block.
+//    it and shares the block; the last owner frees it. A sole owner frees
+//    without an atomic read-modify-write, so an unshared value costs what it
+//    did as a vector apart from the 8-byte header. Every member that writes
+//    bytes first takes a private copy of a shared block, and ==/<=> return at
+//    once when both sides hold one block.
+//  * What the count costs: a copy and its destruction are two atomic
+//    read-modify-writes on the block's cache line, ~9 ns on a 4-core x86 VM
+//    whatever the size, where a vector paid malloc + memcpy + free (~8 ns at
+//    64 bytes, ~500 ns at 64 KB). Copies of one value made on several
+//    threads at once contend for that line (~100 ns a copy with 4 threads).
+//    What sharing saves is memory: a written value is stored once however
+//    many slots, results and history events hold it.
 //  * std::vector's semantics stay: clear() keeps the capacity (quorum_core
 //    reuses cleared buffers), a move steals the block and leaves the source
 //    empty, i.e. ⊥, and a pointer or reference taken through non-const
 //    access (data(), begin(), end(), operator[]) never writes into a copy
 //    made later: such access pins the block to this value, so copies of it
-//    copy the bytes, until the next clear(), assign(), assignment or
-//    reallocation, which invalidate the pointer as they do for a vector.
+//    copy the bytes, until the next assign(), assignment or reallocation,
+//    which invalidate the pointer as they do for a vector.
 //    Unlike a vector, a pointer taken through const access is valid only
 //    until the next mutation of the value, and non-const access must not
 //    race with a copy of the same object from another thread.
@@ -77,15 +84,8 @@ class small_bytes {
       std::memcpy(buf_, o.raw(), inline_capacity);
       size_ = o.size_;
       cap_ = inline_capacity;
-    } else if (o.head().refs.load(std::memory_order_relaxed) != 0) {
-      o.head().refs.fetch_add(1, std::memory_order_relaxed);
-      heap_ = o.heap_;
-      size_ = o.size_;
-      cap_ = o.cap_;
-    } else {  // pinned: a pointer into it may still write
-      heap_ = allocate(o.size_);
-      std::memcpy(heap_, o.heap_, o.size_);
-      size_ = cap_ = o.size_;
+    } else {
+      copy_heap(o);
     }
   }
   small_bytes(small_bytes&& o) noexcept : size_(o.size_), cap_(o.cap_) {
@@ -95,33 +95,22 @@ class small_bytes {
   }
   small_bytes& operator=(const small_bytes& o) {
     if (this == &o) return *this;
-    if (o.size_ > inline_capacity && o.head().refs.load(std::memory_order_relaxed) != 0) {
-      o.head().refs.fetch_add(1, std::memory_order_relaxed);
-      release();
-      heap_ = o.heap_;
-      cap_ = o.cap_;
+    if (is_inline() && o.size_ <= inline_capacity) {
+      std::memcpy(buf_, o.raw(), inline_capacity);
+      size_ = o.size_;
     } else {
-      drop_bytes();
-      if (o.size_ > cap_) regrow(o.size_);
-      std::memcpy(raw(), o.raw(), o.size_);
+      assign_heap(o);
     }
-    size_ = o.size_;
     return *this;
   }
   small_bytes& operator=(small_bytes&& o) noexcept {
     if (this == &o) return *this;
-    if (o.is_inline()) {
-      // Inline bytes fit any buffer we may write: copy them and keep ours.
-      drop_bytes();
-      std::memcpy(raw(), o.buf_, inline_capacity);
-    } else {
-      release();
-      heap_ = o.heap_;
-      cap_ = o.cap_;
-      o.cap_ = inline_capacity;
-    }
+    release();
+    std::memcpy(buf_, o.buf_, inline_capacity);  // the inline bytes or the pointer
     size_ = o.size_;
+    cap_ = o.cap_;
     o.size_ = 0;
+    o.cap_ = inline_capacity;
     return *this;
   }
   ~small_bytes() { release(); }
@@ -150,13 +139,7 @@ class small_bytes {
     return raw()[i];
   }
 
-  void clear() noexcept {
-    size_ = 0;
-    // Keeps the block, shared or not; an owned one may be shared again.
-    if (!is_inline() && head().refs.load(std::memory_order_relaxed) == 0) {
-      head().refs.store(1, std::memory_order_relaxed);
-    }
-  }
+  void clear() noexcept { size_ = 0; }  // keeps the block, shared or not
   void reserve(std::size_t n) {
     if (n > cap_) regrow(n);
   }
@@ -228,32 +211,25 @@ class small_bytes {
     return is_inline() || head().refs.load(std::memory_order_acquire) <= 1;
   }
   void release() noexcept {
-    if (is_inline()) return;
-    // A sole owner frees without a read-modify-write; the acquire load
-    // orders the other owners' last reads (their releasing decrements) first.
-    auto& refs = head().refs;
-    if (refs.load(std::memory_order_acquire) <= 1 ||
-        refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      ::operator delete(heap_ - header_bytes);
-    }
+    if (!is_inline()) release_heap();
   }
-  /// Empties the bytes and makes the buffer writable without allocating: a
-  /// shared block is given up for the inline buffer, an owned one is kept.
+  /// Empties the bytes and makes the buffer writable without allocating.
   void drop_bytes() noexcept {
     size_ = 0;
-    if (is_inline()) return;
-    if (writable()) {
-      head().refs.store(1, std::memory_order_relaxed);
-    } else {
-      release();
-      cap_ = inline_capacity;
-    }
+    if (!is_inline()) drop_heap();
   }
   void pin() {
-    if (!is_inline() && head().refs.load(std::memory_order_relaxed) != 0) pin_block();
+    if (!is_inline()) pin_heap();
   }
+  // The heap halves of the members above, out of line so that the inline
+  // paths stay as small as a vector's.
+  void copy_heap(const small_bytes& o);
+  void assign_heap(const small_bytes& o);
+  void release_heap() noexcept;
+  /// Gives up a shared block for the inline buffer; keeps and unpins an owned one.
+  void drop_heap() noexcept;
   /// Takes a private copy of a shared block, then marks the block pinned.
-  void pin_block();
+  void pin_heap();
   /// A heap block of n bytes, with one owner.
   [[nodiscard]] static std::uint8_t* allocate(std::size_t n);
   /// Moves the bytes into a new private heap block of n (>= size(), >
