@@ -41,19 +41,6 @@ void small_bytes::regrow(std::size_t n) {
   cap_ = static_cast<std::uint32_t>(n);
 }
 
-void small_bytes::copy_heap(const small_bytes& o) {
-  if (o.head().refs.load(std::memory_order_relaxed) != 0) {
-    o.head().refs.fetch_add(1, std::memory_order_relaxed);
-    heap_ = o.heap_;
-    size_ = o.size_;
-    cap_ = o.cap_;
-  } else {  // pinned: a pointer into it may still write
-    heap_ = allocate(o.size_);
-    std::memcpy(heap_, o.heap_, o.size_);
-    size_ = cap_ = o.size_;
-  }
-}
-
 void small_bytes::assign_heap(const small_bytes& o) {
   if (o.size_ > inline_capacity && o.head().refs.load(std::memory_order_relaxed) != 0) {
     o.head().refs.fetch_add(1, std::memory_order_relaxed);

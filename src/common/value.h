@@ -28,7 +28,7 @@
 //    read-modify-writes on the block's cache line, ~9 ns on a 4-core x86 VM
 //    whatever the size, where a vector paid malloc + memcpy + free (~8 ns at
 //    64 bytes, ~500 ns at 64 KB). Copies of one value made on several
-//    threads at once contend for that line (~100 ns a copy with 4 threads).
+//    threads at once contend for that line (~80-100 ns a copy with 4 threads).
 //    What sharing saves is memory: a written value is stored once however
 //    many slots, results and history events hold it.
 //  * std::vector's semantics stay: clear() keeps the capacity (quorum_core
@@ -79,15 +79,7 @@ class small_bytes {
   explicit small_bytes(std::span<const std::uint8_t> b) : small_bytes() {
     assign(b.begin(), b.end());
   }
-  small_bytes(const small_bytes& o) {
-    if (o.size_ <= inline_capacity) {
-      std::memcpy(buf_, o.raw(), inline_capacity);
-      size_ = o.size_;
-      cap_ = inline_capacity;
-    } else {
-      copy_heap(o);
-    }
-  }
+  small_bytes(const small_bytes& o) : small_bytes() { *this = o; }
   small_bytes(small_bytes&& o) noexcept : size_(o.size_), cap_(o.cap_) {
     std::memcpy(buf_, o.buf_, inline_capacity);  // the inline bytes or the pointer
     o.size_ = 0;
@@ -221,9 +213,8 @@ class small_bytes {
   void pin() {
     if (!is_inline()) pin_heap();
   }
-  // The heap halves of the members above, out of line so that the inline
-  // paths stay as small as a vector's.
-  void copy_heap(const small_bytes& o);
+  // The heap halves of the members above and of copying, out of line so
+  // that the inline paths stay as small as a vector's.
   void assign_heap(const small_bytes& o);
   void release_heap() noexcept;
   /// Gives up a shared block for the inline buffer; keeps and unpins an owned one.
