@@ -28,9 +28,9 @@
 //    read-modify-writes on the block's cache line, ~9 ns on a 4-core x86 VM
 //    whatever the size, where a vector paid malloc + memcpy + free (~8 ns at
 //    64 bytes, ~500 ns at 64 KB). Copies of one value made on several
-//    threads at once contend for that line (~80-100 ns a copy with 4 threads).
-//    What sharing saves is memory: a written value is stored once however
-//    many slots, results and history events hold it.
+//    threads at once contend for that line (~80-100 ns a copy with 4
+//    threads). What sharing saves is memory: a written value is stored once
+//    however many slots, results and history events hold it.
 //  * std::vector's semantics stay: clear() keeps the capacity (quorum_core
 //    reuses cleared buffers), a move steals the block and leaves the source
 //    empty, i.e. ⊥, and a pointer or reference taken through non-const
