@@ -97,11 +97,10 @@ void finalize(engine_result& r) {
 
 // ---- Workload 1: the event queue alone --------------------------------------
 // A ring of self-rescheduling events sized like the cluster's message traffic.
-// The typed-event mode must run allocation-free in steady state — that is the
-// invariant this refactor establishes and CI enforces. The thunk mode keeps
-// the generic std::function fallback honest (one closure allocation/event).
+// It must run allocation-free in steady state — that is the invariant the
+// typed event queue establishes and CI enforces.
 
-engine_result run_queue_microbench(std::uint64_t total_events, bool typed) {
+engine_result run_queue_microbench(std::uint64_t total_events) {
   sim::event_queue q;
   constexpr int kOutstanding = 64;  // typical in-flight event count for n=5
 
@@ -122,30 +121,9 @@ engine_result run_queue_microbench(std::uint64_t total_events, bool typed) {
   exec.remaining = total_events;
   q.set_executor(&exec);
 
-  // Thunk mode's closure must outlive the drain loop below (queued events
-  // capture a reference to it).
-  std::function<void(std::uint64_t)> fire;
-  if (typed) {
-    for (int i = 0; i < kOutstanding; ++i) {
-      q.schedule_plain(4096 + i, sim::event_kind::timer, process_id{0},
-                       static_cast<std::uint64_t>(i), 1);
-    }
-  } else {
-    // Payload sized like a message-delivery closure (destination,
-    // incarnation, shared payload pointer): too big for std::function's
-    // inline buffer, so every schedule allocates one closure.
-    struct delivery_payload {
-      std::uint64_t target;
-      std::uint64_t incarnation;
-      const void* msg;
-    };
-    fire = [&](std::uint64_t slot) {
-      if (exec.remaining == 0) return;
-      --exec.remaining;
-      const delivery_payload pl{slot, exec.remaining, &q};
-      q.schedule_after(4096, [&fire, pl] { fire(pl.target); });
-    };
-    for (int i = 0; i < kOutstanding; ++i) fire(static_cast<std::uint64_t>(i));
+  for (int i = 0; i < kOutstanding; ++i) {
+    q.schedule_plain(4096 + i, sim::event_kind::timer, process_id{0},
+                     static_cast<std::uint64_t>(i), 1);
   }
 
   // Warm up half the events, then measure the steady state.
@@ -356,8 +334,7 @@ int main(int argc, char** argv) {
   const std::uint32_t pool = threads_flag != 0 ? threads_flag : std::min(8u, hw);
   const int router_ops = smoke ? 250 : 1500;
 
-  const auto qt = run_queue_microbench(queue_events, /*typed=*/true);
-  const auto qf = run_queue_microbench(queue_events, /*typed=*/false);
+  const auto qt = run_queue_microbench(queue_events);
   const auto qc = run_queue_cold(smoke ? 4 : 32);
   engine_result ff, ch, rt1, rtn;
   for (int i = 0; i < reps; ++i) {
@@ -377,7 +354,6 @@ int main(int argc, char** argv) {
               smoke ? "smoke" : "full", reps);
   metrics::table t({"workload", "Mevents/s", "allocs/event", "events", "wall ms"});
   add_row(t, "queue typed events", qt);
-  add_row(t, "queue thunk fallback", qf);
   add_row(t, "queue cold pass", qc);
   add_row(t, "fault-free n=3", ff);
   add_row(t, "crash-heavy n=5", ch);
@@ -397,8 +373,6 @@ int main(int argc, char** argv) {
   rep.set("mode", smoke ? "smoke" : "full");
   rep.set("queue_typed_events_per_sec", qt.events_per_sec);
   rep.set("queue_typed_allocs_per_event", qt.allocs_per_event);
-  rep.set("queue_thunk_events_per_sec", qf.events_per_sec);
-  rep.set("queue_thunk_allocs_per_event", qf.allocs_per_event);
   rep.set("queue_cold_events_per_sec", qc.events_per_sec);
   rep.set("queue_cold_allocs_per_event", qc.allocs_per_event);
   rep.set("fault_free_events_per_sec", ff.events_per_sec);

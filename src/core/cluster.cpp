@@ -196,13 +196,26 @@ void cluster::submit_recover(process_id p, time_ns at) {
   queue_.schedule_plain(std::max(at, now()), sim::event_kind::recover, p);
 }
 
-void cluster::apply(const sim::fault_plan& plan, time_ns offset) {
-  for (const auto& e : plan.events) {
-    if (e.kind == sim::fault_kind::crash) {
+void cluster::apply(const sim::scenario_plan& plan, time_ns offset) {
+  for (const sim::scenario_event& e : plan.events) {
+    if (e.shard != 0) throw driver_error("cluster: plan event for another shard");
+    apply(e, offset);
+  }
+}
+
+void cluster::apply(const sim::scenario_event& e, time_ns offset) {
+  switch (e.kind) {
+    case sim::scenario_kind::crash:
       submit_crash(e.target, e.at + offset);
-    } else {
+      break;
+    case sim::scenario_kind::corrupt_crash:
+      submit_crash(e.target, e.at + offset, crash_style::corrupt_tail);
+      break;
+    case sim::scenario_kind::recover:
       submit_recover(e.target, e.at + offset);
-    }
+      break;
+    default:
+      break;  // link, gray and migration events: see apply(plan)
   }
 }
 
@@ -309,9 +322,11 @@ void cluster::execute(sim::sim_event& ev) {
     case sim::event_kind::recover:
       do_recover(ev.target);
       return;
+    case sim::event_kind::recovery_read:
+      finish_recovery_read(ev.target, ev.incarnation);
+      return;
     case sim::event_kind::none:
-    case sim::event_kind::thunk:
-      return;  // thunks run inside the queue; none is an empty slot
+      return;  // an empty slot
   }
 }
 
@@ -742,22 +757,24 @@ void cluster::do_recover(process_id p) {
   recorder_.recover(p, now());
   nd.client_ctx.busy_until = now() + cfg_.recovery_read_latency;
   nd.recover_scheduled = true;
-  const std::uint64_t inc = nd.incarnation;
-  // retrieve() of the stable records costs one synchronous disk read. Cold
-  // path: the generic-thunk fallback is fine here.
-  queue_.schedule_at(now() + cfg_.recovery_read_latency, [this, p, inc] {
-    node& nd2 = nd_of(p);
-    if (nd2.incarnation != inc || !nd2.up) return;  // crashed again meanwhile
-    if (nd2.wal != nullptr) {
-      // Rebuild the live index from snapshot+log through the checksum
-      // scanner; a torn or corrupted tail is discarded here, before the
-      // protocol's Recover() reads a single record.
-      nd2.wal->reopen();
-    }
-    outputs_lease lease(*this);
-    nd2.core->recover(rng_.next_u64(), lease.out);
-    execute_effects(p, lease.out);
-  });
+  // retrieve() of the stable records costs one synchronous disk read.
+  queue_.schedule_plain(now() + cfg_.recovery_read_latency,
+                        sim::event_kind::recovery_read, p, sim::no_event_arg,
+                        nd.incarnation);
+}
+
+void cluster::finish_recovery_read(process_id p, std::uint64_t incarnation) {
+  node& nd = nd_of(p);
+  if (nd.incarnation != incarnation || !nd.up) return;  // crashed again meanwhile
+  if (nd.wal != nullptr) {
+    // Rebuild the live index from snapshot+log through the checksum
+    // scanner; a torn or corrupted tail is discarded here, before the
+    // protocol's Recover() reads a single record.
+    nd.wal->reopen();
+  }
+  outputs_lease lease(*this);
+  nd.core->recover(rng_.next_u64(), lease.out);
+  execute_effects(p, lease.out);
 }
 
 }  // namespace remus::core

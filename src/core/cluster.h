@@ -46,8 +46,8 @@
 #include "proto/shared_message.h"
 #include "sim/disk_model.h"
 #include "sim/event_queue.h"
-#include "sim/fault_plan.h"
 #include "sim/network_model.h"
+#include "sim/scenario.h"
 #include "sim/sim_event.h"
 #include "storage/memory_store.h"
 #include "storage/wal_store.h"
@@ -102,8 +102,15 @@ class cluster final : private sim::sim_executor {
   /// Recovery at `at`: runs the policy's Recover() procedure; the process
   /// accepts new invocations only once recovery completes (is_ready()).
   void submit_recover(process_id p, time_ns at);
-  /// Schedules every event of `plan`, shifted by `offset`.
-  void apply(const sim::fault_plan& plan, time_ns offset = 0);
+  /// Schedules the crash, corrupt_crash and recover events of `plan`,
+  /// shifted by `offset`, in plan order. The plan must target one shard (an
+  /// event with a nonzero shard throws). Cut, heal, gray and
+  /// begin_migration events are skipped: they change links or routing at
+  /// an instant, so core::run_scenario applies them in its own loop.
+  void apply(const sim::scenario_plan& plan, time_ns offset = 0);
+  /// Schedules one crash, corrupt_crash or recover event at `e.at + offset`,
+  /// whatever its shard; any other kind is skipped.
+  void apply(const sim::scenario_event& e, time_ns offset = 0);
 
   // ---- Execution ----
   /// Runs until no events remain. Returns false if `max_events` elapsed
@@ -307,6 +314,7 @@ class cluster final : private sim::sim_executor {
                      const proto::message& m);
   void do_crash(process_id p, crash_style style);
   void do_recover(process_id p);
+  void finish_recovery_read(process_id p, std::uint64_t incarnation);
   void finish_active_op(process_id p, const proto::op_outcome& oc);
   /// Count `n` messages (totalling `bytes` on the wire) against the origin's
   /// active op, if the identity (origin, epoch, seq) names it; stale traffic

@@ -154,21 +154,12 @@ scenario_outcome run_scenario(const scenario_spec& spec, std::uint32_t workers) 
 
   // Crash/recover events schedule ahead of time; the rest are imperative and
   // applied in segments below.
+  router.apply(plan);
   std::vector<const sim::scenario_event*> imperative;
   for (const sim::scenario_event& e : plan.events) {
-    switch (e.kind) {
-      case sim::scenario_kind::crash:
-        router.submit_crash(e.shard, e.target, e.at);
-        break;
-      case sim::scenario_kind::corrupt_crash:
-        router.submit_crash(e.shard, e.target, e.at, crash_style::corrupt_tail);
-        break;
-      case sim::scenario_kind::recover:
-        router.submit_recover(e.shard, e.target, e.at);
-        break;
-      default:
-        imperative.push_back(&e);
-        break;
+    if (e.kind != sim::scenario_kind::crash && e.kind != sim::scenario_kind::corrupt_crash &&
+        e.kind != sim::scenario_kind::recover) {
+      imperative.push_back(&e);
     }
   }
 

@@ -452,8 +452,8 @@ void shard_router::submit_recover(std::uint32_t s, process_id p, time_ns at) {
   shard(s).submit_recover(p, at);
 }
 
-void shard_router::apply(std::uint32_t s, const sim::fault_plan& plan, time_ns offset) {
-  shard(s).apply(plan, offset);
+void shard_router::apply(const sim::scenario_plan& plan, time_ns offset) {
+  for (const sim::scenario_event& e : plan.events) shard(e.shard).apply(e, offset);
 }
 
 // ---- Execution ---------------------------------------------------------------

@@ -262,7 +262,11 @@ class shard_router final {
   void submit_crash(std::uint32_t s, process_id p, time_ns at,
                     crash_style style = crash_style::clean);
   void submit_recover(std::uint32_t s, process_id p, time_ns at);
-  void apply(std::uint32_t s, const sim::fault_plan& plan, time_ns offset = 0);
+  /// Schedules the crash, corrupt_crash and recover events of `plan` in
+  /// plan order, each on shard `e.shard`, shifted by `offset`. Cut, heal,
+  /// gray and begin_migration events are skipped: core::run_scenario
+  /// applies them at their instant in its own loop.
+  void apply(const sim::scenario_plan& plan, time_ns offset = 0);
 
   // ---- Execution ----
   /// Runs all shards until no events remain anywhere, advancing the S event

@@ -11,12 +11,6 @@ namespace {
 constexpr time_ns no_time = std::numeric_limits<time_ns>::max();
 }  // namespace
 
-event_queue::token event_queue::schedule_event(time_ns at, sim_event ev) {
-  const auto [idx, s] = acquire_slot(at);
-  s->ev = std::move(ev);
-  return commit(at, idx);
-}
-
 void event_queue::ring_insert(std::uint32_t idx, slot& s) {
   const std::uint32_t b =
       static_cast<std::uint32_t>(static_cast<std::uint64_t>(s.at) >> bucket_shift) &
@@ -259,7 +253,7 @@ bool event_queue::cancel(token t) {
   } else {
     ring_remove(s.heap_pos, idx);
   }
-  s.ev = sim_event{};  // drop payload (closure, message ref, log buffers) now
+  s.ev = sim_event{};  // drop payload (message ref, log buffers) now
   retire(idx);
   return true;
 }
@@ -270,12 +264,7 @@ void event_queue::execute_slot(std::uint32_t idx) {
   slot& s = slot_at(idx);
   s.heap_pos = npos;
   ++executed_;
-  if (s.ev.kind == event_kind::thunk) {
-    s.ev.fn();
-    s.ev.fn = nullptr;  // drop the closure now, not at slot reuse
-  } else {
-    executor_->execute(s.ev);
-  }
+  executor_->execute(s.ev);
   s.ev.msg.reset();  // return the payload to its pool promptly
   retire(idx);
 }

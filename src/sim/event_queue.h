@@ -37,7 +37,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -51,23 +50,16 @@ namespace remus::sim {
 
 class event_queue {
  public:
-  using action = std::function<void()>;
-
   /// Token identifying a scheduled event, usable for cancellation.
   using token = std::uint64_t;
 
-  /// Install the executor for typed (non-thunk) events. Must be set before
-  /// any typed event fires; thunk-only users may skip it.
+  /// Install the executor that runs every event. Must be set before the
+  /// first event fires.
   void set_executor(sim_executor* ex) noexcept { executor_ = ex; }
 
-  /// Schedule a typed event at absolute time `at` (must be >= now()).
-  token schedule_event(time_ns at, sim_event ev);
-  token schedule_event_after(time_ns delay, sim_event ev) {
-    return schedule_event(now_ + delay, std::move(ev));
-  }
-
-  // In-place typed scheduling: fills exactly the fields the kind's handler
-  // reads, so the hot path never constructs or moves a full sim_event.
+  // Scheduling fills a slot in place with exactly the fields the kind's
+  // handler reads, so no full sim_event is ever constructed or moved. Every
+  // time must be >= now().
 
   /// message delivery: shares `m`'s payload by refcount.
   token schedule_message(time_ns at, process_id target,
@@ -106,7 +98,8 @@ class event_queue {
     return commit(at, idx);
   }
 
-  /// timer / op_dispatch / crash / recover: POD payloads only.
+  /// timer / op_dispatch / crash / recover / recovery_read / lease_expiry:
+  /// POD payloads only.
   token schedule_plain(time_ns at, event_kind k, process_id target,
                        std::uint64_t a = no_event_arg,
                        std::uint64_t incarnation = no_event_arg) {
@@ -116,19 +109,6 @@ class event_queue {
     s->ev.a = a;
     s->ev.incarnation = incarnation;
     return commit(at, idx);
-  }
-
-  /// Schedule `fn` at absolute time `at` (generic-thunk fallback).
-  token schedule_at(time_ns at, action fn) {
-    sim_event ev;
-    ev.kind = event_kind::thunk;
-    ev.fn = std::move(fn);
-    return schedule_event(at, std::move(ev));
-  }
-
-  /// Schedule `fn` `delay` after now().
-  token schedule_after(time_ns delay, action fn) {
-    return schedule_at(now_ + delay, std::move(fn));
   }
 
   /// Cancel a scheduled event; returns false if it already ran or was
@@ -233,8 +213,8 @@ class event_queue {
   }
 
   /// Take a free slot for an event at `at` (throws on past times). Retired
-  /// slots are guaranteed to hold no closure and no message reference, so
-  /// typed fillers only assign the fields their kind's handler reads.
+  /// slots are guaranteed to hold no message reference, so typed fillers
+  /// only assign the fields their kind's handler reads.
   std::pair<std::uint32_t, slot*> acquire_slot(time_ns at) {
     if (at < now_) throw driver_error("event_queue: scheduling into the past");
     std::uint32_t idx;

@@ -468,6 +468,58 @@ scenario_plan make_adversarial_plan(const adversarial_config& cfg, rng& r,
   return plan;
 }
 
+scenario_plan make_random_plan(const random_plan_config& cfg, rng& r) {
+  scenario_plan plan;
+  plan.n = cfg.n;
+  std::vector<time_ns> down_until(cfg.n, -1);
+  const std::uint32_t majority = cfg.n / 2 + 1;
+  std::uint32_t unit = 0;
+
+  for (std::uint32_t i = 0; i < cfg.crashes; ++i) {
+    const time_ns at = r.next_in(0, cfg.horizon);
+    const process_id p{static_cast<std::uint32_t>(r.next_below(cfg.n))};
+    if (down_until[p.index] >= at) continue;  // already down around this time
+
+    if (!cfg.allow_majority_crash) {
+      // Keep a majority alive at every instant: count overlapping downtimes.
+      std::uint32_t down_now = 0;
+      for (std::uint32_t q = 0; q < cfg.n; ++q) {
+        if (q != p.index && down_until[q] >= at) ++down_now;
+      }
+      if (down_now + 1 > cfg.n - majority) continue;
+    }
+
+    const time_ns down =
+        cfg.max_down > cfg.min_down ? r.next_in(cfg.min_down, cfg.max_down) : cfg.min_down;
+    const time_ns up_at = at + down + 1;
+    plan.events.push_back(
+        timed_event(at, scenario_kind::crash, fault_family::crash_recover, unit, 0, p));
+    plan.events.push_back(
+        timed_event(up_at, scenario_kind::recover, fault_family::crash_recover, unit, 0, p));
+    down_until[p.index] = up_at;
+    ++unit;
+  }
+  plan.sort();
+  return plan;
+}
+
+scenario_plan make_blackout_plan(std::uint32_t n, time_ns at, time_ns down,
+                                 time_ns skew_step) {
+  scenario_plan plan;
+  plan.n = n;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    plan.events.push_back(timed_event(at, scenario_kind::crash, fault_family::blackout, 0,
+                                      0, process_id{i}));
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    plan.events.push_back(timed_event(at + down + static_cast<time_ns>(i) * skew_step,
+                                      scenario_kind::recover, fault_family::blackout, 0,
+                                      0, process_id{i}));
+  }
+  plan.sort();
+  return plan;
+}
+
 // ---- Minimization ------------------------------------------------------------
 
 namespace {

@@ -1,10 +1,11 @@
-// Generative adversarial fault scenarios: the unified timed plan that
-// fault_plan grew into.
+// Timed fault plans: the simulator's one fault language.
 //
-// A scenario_plan is a sorted list of timed events spanning every fault
-// family the model admits:
+// The paper's model (section II) allows every process to crash, even all at
+// once, as long as eventually a majority stays up long enough for pending
+// operations to finish. A scenario_plan is a sorted list of timed events
+// spanning every fault family the model admits:
 //
-//   * crash/recover    — per-(shard, process) crash-recovery, as fault_plan;
+//   * crash/recover    — per-(shard, process) crash-recovery;
 //   * blackout         — a system-wide storm: every process of a shard (or
 //                        of the whole fleet) down at one instant, recovering
 //                        at skewed per-process times — the paper's "all
@@ -23,7 +24,7 @@
 //                        frame, bit flips, stray garbage past the durable
 //                        bytes (storage corruption meets protocol recovery).
 //
-// Validity (`well_formed`) generalizes fault_plan's alternation rule: every
+// Validity (`well_formed`): crash/recover alternate per process, every
 // crash has a later recover, every cut/gray a later heal, at most one
 // migration trigger — so after the last event all processes are up and all
 // links clean. That is the strongest form of the paper's
@@ -37,6 +38,10 @@
 // well-formed by construction, so minimize_plan can shrink a failing
 // scenario to the few units that actually matter and print a self-contained
 // repro line (encode/decode_plan).
+//
+// Generators: make_adversarial_plan mixes every family by weight (the
+// fuzzer's), make_random_plan draws independent crash/recover pairs on one
+// shard, and make_blackout_plan is one all-crash storm on one shard.
 #pragma once
 
 #include <cstdint>
@@ -194,6 +199,35 @@ struct adversarial_config {
 /// share, biasing generation toward under-explored families.
 [[nodiscard]] scenario_plan make_adversarial_plan(const adversarial_config& cfg, rng& r,
                                                   const scenario_coverage* explored = nullptr);
+
+/// Single-shard crash/recover plans (make_random_plan).
+struct random_plan_config {
+  std::uint32_t n = 5;
+  /// Number of crash events to generate in total.
+  std::uint32_t crashes = 4;
+  /// Window in which crashes may happen.
+  time_ns horizon = 0;
+  /// How long a crashed process stays down: U[min_down, max_down].
+  time_ns min_down = 0;
+  time_ns max_down = 0;
+  /// If true, may crash a majority (or everyone) simultaneously; recovery
+  /// still brings everyone back by the end.
+  bool allow_majority_crash = true;
+};
+
+/// Generates a well-formed single-shard plan where every crash has a
+/// matching recovery (one crash_recover unit per pair) and all processes
+/// are up after `horizon + max_down`.
+[[nodiscard]] scenario_plan make_random_plan(const random_plan_config& cfg, rng& r);
+
+/// Crashes every process of a single-shard plan at `at` and recovers all of
+/// them at `at + down` (the paper's "all crash, possibly at the same time"
+/// scenario), as one blackout unit. A nonzero `skew_step` staggers
+/// recovery: process i comes back at `at + down + i * skew_step`, so
+/// recovery reassembles the majority one process at a time from stable
+/// storage alone.
+[[nodiscard]] scenario_plan make_blackout_plan(std::uint32_t n, time_ns at, time_ns down,
+                                               time_ns skew_step = 0);
 
 // ---- Minimization ------------------------------------------------------------
 

@@ -1,10 +1,10 @@
 // Typed simulator events.
 //
-// The pre-refactor event queue stored one heap-allocated `std::function`
-// closure per scheduled event. Virtually all simulator traffic falls into a
-// handful of shapes, so events are now a tagged union executed by the world
-// driver (the cluster) through the `sim_executor` interface; the closure form
-// survives as the `thunk` fallback for tests and cold paths.
+// All simulator traffic falls into a handful of shapes, so an event is a
+// tagged union executed by the world driver (the cluster) through the
+// `sim_executor` interface. There is no closure form: scheduling never
+// allocates a callable, and every kind, cold paths included, is a case of
+// the driver's switch.
 //
 // The payload fields are a union-by-convention: each kind reads only its own
 // fields (documented below) and leaves the rest defaulted. Moving a
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string_view>
 
 #include "common/ids.h"
@@ -30,13 +29,15 @@ namespace remus::sim {
 
 enum class event_kind : std::uint8_t {
   none = 0,     // empty slot
-  thunk,        // generic fallback: run `fn`
   message,      // deliver `msg` to `target`'s core
   log_done,     // store durable at `target`: token `a`, `log_key`/`log_record`
   timer,        // protocol timer at `target`: token `a`, guarded by `incarnation`
   op_dispatch,  // client pump at `target`: op handle `a` (or redispatch)
   crash,        // fault injection at `target`
   recover,
+  /// Recovery's stable-storage read finished at `target`: reopen the store
+  /// and run Recover(). Guarded by `incarnation` (a crash meanwhile voids it).
+  recovery_read,
   lease_expiry, // lease deadline at `target`: token `a`, guarded by `incarnation`
 };
 
@@ -54,11 +55,10 @@ struct sim_event {
   bytes log_record{};                        // log_done
   /// log_done: keys erased in the same durable step (store_and_obsolete).
   std::vector<storage::record_key> log_obsoletes{};
-  std::function<void()> fn{};                // thunk
 };
 
-/// Executes typed events popped by the event queue. Implemented by the world
-/// driver (core::cluster); the queue runs `thunk` events itself.
+/// Executes the events popped by the event queue. Implemented by the world
+/// driver (core::cluster).
 class sim_executor {
  public:
   virtual void execute(sim_event& ev) = 0;

@@ -214,6 +214,29 @@ TEST(CrashRecovery, RecoveringProcessRestoresItsReplicaState) {
   EXPECT_EQ(c.core_of(process_id{2}).replica_value(), value_of_u32(5));
 }
 
+TEST(CrashRecovery, RecoveryReadOfACrashedIncarnationIsIgnored) {
+  // Recover at t+100us, crash at t+200us, recover at t+300us: the first
+  // recovery's stable-storage read (due at t+500us) is still queued when the
+  // second one (due at t+700us) is scheduled. Only the last incarnation's
+  // read may run Recover(); the transient emulation counts each run.
+  cluster_config cfg = make_config(proto::transient_policy());
+  cfg.recovery_read_latency = 400_us;
+  cluster c(cfg);
+  c.write(process_id{0}, value_of_u32(4));
+  const process_id p{2};
+  const time_ns t = c.now();
+  c.submit_crash(p, t);
+  c.submit_recover(p, t + 100_us);
+  c.submit_crash(p, t + 200_us);
+  c.submit_recover(p, t + 300_us);
+  c.run_for(600_us);  // past the first read's instant, before the second's
+  EXPECT_FALSE(c.core_of(p).is_up());
+  ASSERT_TRUE(c.run_until_idle());
+  EXPECT_TRUE(c.core_of(p).ready());
+  EXPECT_EQ(c.core_of(p).recoveries(), 1);
+  EXPECT_EQ(c.read(p), value_of_u32(4));
+}
+
 TEST(CrashRecovery, PersistentRecoveryFinishesInterruptedWrite) {
   // The writer crashes right after its prelog becomes durable; on recovery
   // the write is finished and every later read sees it (persistent

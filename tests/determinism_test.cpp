@@ -16,7 +16,7 @@
 #include "core/cluster.h"
 #include "history/tag_order.h"
 #include "proto/policy.h"
-#include "sim/fault_plan.h"
+#include "sim/scenario.h"
 
 namespace remus::core {
 namespace {

@@ -1,13 +1,14 @@
 // Event-queue semantics across the typed-event / calendar-band rewrite:
-// equal-timestamp ordering, eager cancellation (including cancel-after-fire),
-// run_until boundary inclusivity, counter consistency, typed-event dispatch,
-// and cross-band (ring / level-2 wheel / overflow heap) ordering. A
-// differential test runs long seeded interleavings against a reference
-// ordered set.
+// equal-timestamp ordering, events scheduling events, eager cancellation
+// (including cancel-after-fire), run_until boundary inclusivity, counter
+// consistency, typed-event dispatch, and cross-band (ring / level-2 wheel /
+// overflow heap) ordering. A differential test runs long seeded
+// interleavings against a reference ordered set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <set>
@@ -21,11 +22,37 @@
 namespace remus::sim {
 namespace {
 
-TEST(EventQueueOrder, EqualTimestampsRunInInsertionOrder) {
+// Test-side executor: runs closures scheduled as typed timer events, each
+// closure's index riding in the event's `a` payload. A closure may
+// schedule more closures (the vector may grow while one runs).
+class closures final : public sim_executor {
+ public:
+  closures() { q.set_executor(this); }
+  closures(const closures&) = delete;
+  closures& operator=(const closures&) = delete;
+
+  event_queue::token at(time_ns t, std::function<void()> fn) {
+    fns_.push_back(std::move(fn));
+    return q.schedule_plain(t, event_kind::timer, process_id{0}, fns_.size() - 1);
+  }
+
   event_queue q;
+
+ private:
+  void execute(sim_event& ev) override {
+    const std::function<void()> fn = std::move(fns_[ev.a]);
+    fn();
+  }
+
+  std::vector<std::function<void()>> fns_;
+};
+
+TEST(EventQueueOrder, EqualTimestampsRunInInsertionOrder) {
+  closures c;
+  event_queue& q = c.q;
   std::vector<int> order;
   for (int i = 0; i < 16; ++i) {
-    q.schedule_at(42, [&order, i] { order.push_back(i); });
+    c.at(42, [&order, i] { order.push_back(i); });
   }
   EXPECT_EQ(q.run(), 16u);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -33,20 +60,22 @@ TEST(EventQueueOrder, EqualTimestampsRunInInsertionOrder) {
 }
 
 TEST(EventQueueOrder, InterleavedTimesSortGlobally) {
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   std::vector<int> order;
-  q.schedule_at(30, [&] { order.push_back(3); });
-  q.schedule_at(10, [&] { order.push_back(1); });
-  q.schedule_at(20, [&] { order.push_back(2); });
-  q.schedule_at(10, [&] { order.push_back(11); });  // ties after the first 10
+  c.at(30, [&] { order.push_back(3); });
+  c.at(10, [&] { order.push_back(1); });
+  c.at(20, [&] { order.push_back(2); });
+  c.at(10, [&] { order.push_back(11); });  // ties after the first 10
   q.run();
   EXPECT_EQ(order, (std::vector<int>{1, 11, 2, 3}));
 }
 
 TEST(EventQueueCancel, CancelPreventsExecutionAndIsEager) {
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   int hits = 0;
-  const auto t = q.schedule_at(5, [&] { ++hits; });
+  const auto t = c.at(5, [&] { ++hits; });
   EXPECT_EQ(q.pending(), 1u);
   EXPECT_TRUE(q.cancel(t));
   // Eager: the event leaves the queue immediately.
@@ -59,45 +88,49 @@ TEST(EventQueueCancel, CancelPreventsExecutionAndIsEager) {
 }
 
 TEST(EventQueueCancel, CancelAfterFireReturnsFalse) {
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   int hits = 0;
-  const auto t = q.schedule_at(5, [&] { ++hits; });
+  const auto t = c.at(5, [&] { ++hits; });
   EXPECT_EQ(q.run(), 1u);
   EXPECT_EQ(hits, 1);
   EXPECT_FALSE(q.cancel(t));  // already ran
   // A recycled slot must not resurrect old tokens.
-  const auto t2 = q.schedule_at(10, [&] { ++hits; });
+  const auto t2 = c.at(10, [&] { ++hits; });
   EXPECT_FALSE(q.cancel(t));
   EXPECT_TRUE(q.cancel(t2));
 }
 
 TEST(EventQueueCancel, CancelBogusTokensReturnsFalse) {
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   EXPECT_FALSE(q.cancel(0));
   EXPECT_FALSE(q.cancel(~0ULL));
-  q.schedule_at(1, [] {});
+  c.at(1, [] {});
   EXPECT_FALSE(q.cancel(0));
   q.run();
 }
 
 TEST(EventQueueCancel, CancelMiddleKeepsOrder) {
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   std::vector<int> order;
-  q.schedule_at(10, [&] { order.push_back(1); });
-  const auto t = q.schedule_at(20, [&] { order.push_back(2); });
-  q.schedule_at(20, [&] { order.push_back(22); });
-  q.schedule_at(30, [&] { order.push_back(3); });
+  c.at(10, [&] { order.push_back(1); });
+  const auto t = c.at(20, [&] { order.push_back(2); });
+  c.at(20, [&] { order.push_back(22); });
+  c.at(30, [&] { order.push_back(3); });
   EXPECT_TRUE(q.cancel(t));
   q.run();
   EXPECT_EQ(order, (std::vector<int>{1, 22, 3}));
 }
 
 TEST(EventQueueRunUntil, DeadlineIsInclusive) {
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   int hits = 0;
-  q.schedule_at(10, [&] { ++hits; });
-  q.schedule_at(15, [&] { ++hits; });  // exactly at the deadline: runs
-  q.schedule_at(16, [&] { ++hits; });  // one past: stays
+  c.at(10, [&] { ++hits; });
+  c.at(15, [&] { ++hits; });  // exactly at the deadline: runs
+  c.at(16, [&] { ++hits; });  // one past: stays
   EXPECT_EQ(q.run_until(15), 2u);
   EXPECT_EQ(hits, 2);
   EXPECT_EQ(q.now(), 15);
@@ -113,10 +146,11 @@ TEST(EventQueueRunUntil, EmptyRunAdvancesClockOnly) {
 }
 
 TEST(EventQueueRunUntil, DoesNotOvershootDeadlinePastFarEvents) {
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   int hits = 0;
   // 50 ms out: lives in the level-2 wheel, far beyond the deadline.
-  q.schedule_at(50'000'000, [&] { ++hits; });
+  c.at(50'000'000, [&] { ++hits; });
   q.run_until(3'000'000);
   EXPECT_EQ(hits, 0);
   EXPECT_EQ(q.now(), 3'000'000);
@@ -131,16 +165,17 @@ TEST(EventQueueRunUntil, ScheduleAfterIdleDeadlineKeepsWheelEventsFirst) {
   // reached. The level-2 wheel must then be cascaded up to the new horizon:
   // otherwise a later near-term ring event pops before an earlier event still
   // parked in the wheel, and the clock runs backwards.
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   std::vector<int> order;
   std::vector<time_ns> times;
-  q.schedule_at(16'000'000, [&] {  // wheel: 16 ms out
+  c.at(16'000'000, [&] {  // wheel: 16 ms out
     order.push_back(1);
     times.push_back(q.now());
   });
   q.run_until(15'000'000);  // the wheel bucket of 16 ms starts after 15 ms
   EXPECT_EQ(q.now(), 15'000'000);
-  q.schedule_at(16'500'000, [&] {  // ring: 1.5 ms out
+  c.at(16'500'000, [&] {  // ring: 1.5 ms out
     order.push_back(2);
     times.push_back(q.now());
   });
@@ -150,9 +185,10 @@ TEST(EventQueueRunUntil, ScheduleAfterIdleDeadlineKeepsWheelEventsFirst) {
 }
 
 TEST(EventQueueCounters, PendingAndExecutedStayConsistent) {
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   std::vector<event_queue::token> tokens;
-  for (int i = 0; i < 10; ++i) tokens.push_back(q.schedule_at(i, [] {}));
+  for (int i = 0; i < 10; ++i) tokens.push_back(c.at(i, [] {}));
   EXPECT_EQ(q.pending(), 10u);
   EXPECT_TRUE(q.cancel(tokens[3]));
   EXPECT_TRUE(q.cancel(tokens[7]));
@@ -166,12 +202,13 @@ TEST(EventQueueCounters, PendingAndExecutedStayConsistent) {
 }
 
 TEST(EventQueueBands, OrderHoldsAcrossRingWheelAndOverflow) {
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   std::vector<int> order;
-  q.schedule_at(10'000'000'000, [&] { order.push_back(4); });  // overflow heap
-  q.schedule_at(500'000'000, [&] { order.push_back(3); });     // level-2 wheel
-  q.schedule_at(10'000'000, [&] { order.push_back(2); });      // level-2 wheel
-  q.schedule_at(100, [&] { order.push_back(1); });             // calendar ring
+  c.at(10'000'000'000, [&] { order.push_back(4); });  // overflow heap
+  c.at(500'000'000, [&] { order.push_back(3); });     // level-2 wheel
+  c.at(10'000'000, [&] { order.push_back(2); });      // level-2 wheel
+  c.at(100, [&] { order.push_back(1); });             // calendar ring
   EXPECT_EQ(q.pending(), 4u);
   EXPECT_EQ(q.run(), 4u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
@@ -179,11 +216,12 @@ TEST(EventQueueBands, OrderHoldsAcrossRingWheelAndOverflow) {
 }
 
 TEST(EventQueueBands, CancelWorksInEveryBand) {
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   int hits = 0;
-  const auto ring = q.schedule_at(100, [&] { ++hits; });
-  const auto wheel = q.schedule_at(50'000'000, [&] { ++hits; });
-  const auto overflow = q.schedule_at(10'000'000'000, [&] { ++hits; });
+  const auto ring = c.at(100, [&] { ++hits; });
+  const auto wheel = c.at(50'000'000, [&] { ++hits; });
+  const auto overflow = c.at(10'000'000'000, [&] { ++hits; });
   EXPECT_TRUE(q.cancel(wheel));
   EXPECT_TRUE(q.cancel(overflow));
   EXPECT_TRUE(q.cancel(ring));
@@ -195,13 +233,14 @@ TEST(EventQueueBands, CancelWorksInEveryBand) {
 TEST(EventQueueBands, FarEventsSortAgainstLateRingInserts) {
   // An event scheduled far ahead must still order by (time, insertion seq)
   // against events scheduled near its time much later.
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   std::vector<int> order;
-  q.schedule_at(6'000'000, [&] { order.push_back(1); });  // wheel at schedule time
-  q.schedule_at(5'000'000, [&] {
+  c.at(6'000'000, [&] { order.push_back(1); });  // wheel at schedule time
+  c.at(5'000'000, [&] {
     // now = 5 ms: the 6 ms event has cascaded into the ring; this sibling
     // shares its timestamp but was scheduled later, so it runs second.
-    q.schedule_at(6'000'000, [&] { order.push_back(2); });
+    c.at(6'000'000, [&] { order.push_back(2); });
   });
   q.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -211,26 +250,49 @@ TEST(EventQueueBands, OverflowEventJoinsTheRingWithItsWheelBucket) {
   // The cascade moves whole ~1 ms wheel buckets into the ring, so the ring
   // may hold an event up to one wheel bucket past now() + ~2.1 ms. An
   // overflow event due before it must be in the ring by then too.
-  event_queue q;
+  closures c;
+  event_queue& q = c.q;
   std::vector<int> order;
   const time_ns bucket = time_ns{1} << 20;
   const time_ns late = 2861 * bucket + bucket - 1;  // ~3.001 s, end of a bucket
-  q.schedule_at(late, [&] { order.push_back(1); });  // overflow: > ~2.1 s out
-  q.schedule_at(1'500'000'000, [&] {
-    q.schedule_at(late, [&] { order.push_back(2); });  // wheel: same time, later
+  c.at(late, [&] { order.push_back(1); });  // overflow: > ~2.1 s out
+  c.at(1'500'000'000, [&] {
+    c.at(late, [&] { order.push_back(2); });  // wheel: same time, later
   });
   // Pops just after the horizon enters the wheel bucket holding `late`.
-  q.schedule_at(2861 * bucket - (time_ns{1} << 21) + 10, [] {});
+  c.at(2861 * bucket - (time_ns{1} << 21) + 10, [] {});
   q.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(q.now(), late);
 }
 
 TEST(EventQueueScheduling, IntoThePastThrows) {
-  event_queue q;
-  q.schedule_at(10, [] {});
+  closures c;
+  event_queue& q = c.q;
+  c.at(10, [] {});
   q.run();
-  EXPECT_THROW(q.schedule_at(5, [] {}), driver_error);
+  EXPECT_THROW(c.at(5, [] {}), driver_error);
+}
+
+TEST(EventQueueScheduling, EventsMayScheduleEvents) {
+  closures c;
+  event_queue& q = c.q;
+  int hits = 0;
+  c.at(1, [&] {
+    ++hits;
+    c.at(q.now() + 1, [&] { ++hits; });
+  });
+  q.run();
+  EXPECT_EQ(hits, 2);
+  EXPECT_EQ(q.now(), 2);
+}
+
+TEST(EventQueueCounters, RunWithLimitStops) {
+  closures c;
+  event_queue& q = c.q;
+  for (int i = 0; i < 10; ++i) c.at(i, [] {});
+  EXPECT_EQ(q.run(4), 4u);
+  EXPECT_EQ(q.pending(), 6u);
 }
 
 TEST(EventQueueTyped, ExecutorReceivesTypedEvents) {

@@ -83,7 +83,7 @@ TEST_P(RandomRuns, HistorySatisfiesCriterionUnderFaultsAndLoss) {
     c.submit_crash(victim, r.next_in(0, horizon));
   } else {
     const auto plan = sim::make_random_plan(fp, r);
-    ASSERT_TRUE(plan.well_formed(cfg.n));
+    ASSERT_TRUE(plan.well_formed());
     c.apply(plan);
   }
 
@@ -586,7 +586,7 @@ TEST_P(KeyedRandomRuns, KeyedWorkloadUnderFaultsStaysAtomicPerKey) {
   fp.max_down = 25_ms;
   fp.allow_majority_crash = true;
   const auto plan = sim::make_random_plan(fp, r);
-  ASSERT_TRUE(plan.well_formed(cfg.n));
+  ASSERT_TRUE(plan.well_formed());
   c.apply(plan);
 
   ASSERT_TRUE(c.run_until_idle(20'000'000)) << "run did not quiesce";

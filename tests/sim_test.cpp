@@ -1,86 +1,16 @@
-// Unit tests for the simulation substrate: event queue, network model,
-// disk model, fault plans.
+// Unit tests for the simulation substrate: network model, disk model, and
+// the single-shard fault-plan generators (the event queue has its own
+// suite, event_queue_test).
 #include <gtest/gtest.h>
 
-#include "common/error.h"
+#include <algorithm>
+
 #include "sim/disk_model.h"
-#include "sim/event_queue.h"
-#include "sim/fault_plan.h"
 #include "sim/network_model.h"
+#include "sim/scenario.h"
 
 namespace remus::sim {
 namespace {
-
-TEST(EventQueue, RunsInTimeOrder) {
-  event_queue q;
-  std::vector<int> order;
-  q.schedule_at(30, [&] { order.push_back(3); });
-  q.schedule_at(10, [&] { order.push_back(1); });
-  q.schedule_at(20, [&] { order.push_back(2); });
-  EXPECT_EQ(q.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.now(), 30);
-}
-
-TEST(EventQueue, TiesRunInScheduleOrder) {
-  event_queue q;
-  std::vector<int> order;
-  q.schedule_at(5, [&] { order.push_back(1); });
-  q.schedule_at(5, [&] { order.push_back(2); });
-  q.schedule_at(5, [&] { order.push_back(3); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, SchedulingIntoThePastThrows) {
-  event_queue q;
-  q.schedule_at(10, [] {});
-  q.run();
-  EXPECT_THROW(q.schedule_at(5, [] {}), driver_error);
-}
-
-TEST(EventQueue, EventsMayScheduleEvents) {
-  event_queue q;
-  int hits = 0;
-  q.schedule_at(1, [&] {
-    ++hits;
-    q.schedule_after(1, [&] { ++hits; });
-  });
-  q.run();
-  EXPECT_EQ(hits, 2);
-  EXPECT_EQ(q.now(), 2);
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  event_queue q;
-  int hits = 0;
-  const auto t = q.schedule_at(5, [&] { ++hits; });
-  EXPECT_TRUE(q.cancel(t));
-  EXPECT_FALSE(q.cancel(t));  // double-cancel reports failure
-  q.run();
-  EXPECT_EQ(hits, 0);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, RunUntilLeavesLaterEvents) {
-  event_queue q;
-  int hits = 0;
-  q.schedule_at(10, [&] { ++hits; });
-  q.schedule_at(20, [&] { ++hits; });
-  q.run_until(15);
-  EXPECT_EQ(hits, 1);
-  EXPECT_EQ(q.now(), 15);
-  EXPECT_EQ(q.pending(), 1u);
-  q.run();
-  EXPECT_EQ(hits, 2);
-}
-
-TEST(EventQueue, RunWithLimitStops) {
-  event_queue q;
-  for (int i = 0; i < 10; ++i) q.schedule_at(i, [] {});
-  EXPECT_EQ(q.run(4), 4u);
-  EXPECT_EQ(q.pending(), 6u);
-}
 
 TEST(NetworkModel, ChargesBaseDelayAndSerialization) {
   network_config cfg;
@@ -237,31 +167,36 @@ TEST(DiskModel, OverlappingRequestsQueueFifo) {
   EXPECT_EQ(d.issue(1000, 8), 1100);  // idle gap resets
 }
 
+scenario_event fault(time_ns at, scenario_kind kind, std::uint32_t p) {
+  scenario_event e;
+  e.at = at;
+  e.kind = kind;
+  e.target = process_id{p};
+  return e;
+}
+
 TEST(FaultPlan, WellFormedAlternation) {
-  fault_plan p;
-  p.add_crash(10, process_id{0});
-  p.add_recover(20, process_id{0});
-  p.add_crash(30, process_id{0});
-  p.add_recover(40, process_id{0});
-  p.sort();
-  EXPECT_TRUE(p.well_formed(3));
-  EXPECT_TRUE(p.all_up_eventually(3));
+  scenario_plan p;
+  p.events = {fault(10, scenario_kind::crash, 0), fault(20, scenario_kind::recover, 0),
+              fault(30, scenario_kind::crash, 0), fault(40, scenario_kind::recover, 0)};
+  EXPECT_TRUE(p.well_formed());
 }
 
 TEST(FaultPlan, DetectsDoubleCrash) {
-  fault_plan p;
-  p.add_crash(10, process_id{0});
-  p.add_crash(20, process_id{0});
-  p.sort();
-  EXPECT_FALSE(p.well_formed(3));
+  scenario_plan p;
+  p.events = {fault(10, scenario_kind::crash, 0), fault(20, scenario_kind::crash, 0),
+              fault(30, scenario_kind::recover, 0)};
+  EXPECT_FALSE(p.well_formed());
 }
 
 TEST(FaultPlan, DetectsEndStateDown) {
-  fault_plan p;
-  p.add_crash(10, process_id{1});
-  p.sort();
-  EXPECT_TRUE(p.well_formed(3));
-  EXPECT_FALSE(p.all_up_eventually(3));
+  // Alternation holds, but process 1 stays down after the last event: the
+  // eventually-correct-majority tail is missing.
+  scenario_plan p;
+  p.events = {fault(10, scenario_kind::crash, 1)};
+  EXPECT_FALSE(p.well_formed());
+  p.events.push_back(fault(20, scenario_kind::recover, 1));
+  EXPECT_TRUE(p.well_formed());
 }
 
 TEST(FaultPlan, RandomPlansAreWellFormed) {
@@ -273,9 +208,15 @@ TEST(FaultPlan, RandomPlansAreWellFormed) {
     cfg.horizon = 1'000'000;
     cfg.min_down = 1000;
     cfg.max_down = 100'000;
-    const fault_plan p = make_random_plan(cfg, r);
-    EXPECT_TRUE(p.well_formed(cfg.n));
-    EXPECT_TRUE(p.all_up_eventually(cfg.n));
+    const scenario_plan p = make_random_plan(cfg, r);
+    EXPECT_TRUE(p.well_formed());
+    EXPECT_EQ(p.shards, 1u);
+    EXPECT_EQ(p.n, cfg.n);
+    // One crash_recover unit per crash/recover pair.
+    EXPECT_EQ(p.unit_count() * 2, p.events.size());
+    for (const scenario_event& e : p.events) {
+      EXPECT_EQ(e.family, fault_family::crash_recover);
+    }
   }
 }
 
@@ -289,32 +230,55 @@ TEST(FaultPlan, MinorityOnlyPlansKeepMajorityUp) {
   cfg.max_down = 200'000;
   cfg.allow_majority_crash = false;
   for (int trial = 0; trial < 20; ++trial) {
-    const fault_plan p = make_random_plan(cfg, r);
+    const scenario_plan p = make_random_plan(cfg, r);
     // Replay: at no instant may 3+ of 5 be down.
     std::vector<bool> down(cfg.n, false);
     for (const auto& e : p.events) {
-      down[e.target.index] = (e.kind == fault_kind::crash);
+      down[e.target.index] = (e.kind == scenario_kind::crash);
       EXPECT_LE(std::count(down.begin(), down.end(), true), 2);
     }
   }
 }
 
+TEST(FaultPlan, MinimizeShrinksRandomPlanToOneUnit) {
+  rng r(5);
+  random_plan_config cfg;
+  cfg.n = 5;
+  cfg.crashes = 12;
+  cfg.horizon = 1'000'000;
+  cfg.min_down = 1000;
+  cfg.max_down = 50'000;
+  const scenario_plan p = make_random_plan(cfg, r);
+  const auto crashes_p2 = [](const scenario_plan& c) {
+    return std::any_of(c.events.begin(), c.events.end(), [](const scenario_event& e) {
+      return e.kind == scenario_kind::crash && e.target == process_id{2};
+    });
+  };
+  ASSERT_TRUE(crashes_p2(p));
+  ASSERT_GT(p.unit_count(), 1u);
+  const scenario_plan m = minimize_plan(p, crashes_p2);
+  EXPECT_TRUE(m.well_formed());
+  EXPECT_EQ(m.unit_count(), 1u);
+  ASSERT_EQ(m.events.size(), 2u);
+  EXPECT_EQ(m.events[0].target, process_id{2});
+}
+
 TEST(FaultPlan, BlackoutCrashesEveryone) {
-  const fault_plan p = make_blackout_plan(4, 100, 50);
-  EXPECT_TRUE(p.well_formed(4));
-  EXPECT_TRUE(p.all_up_eventually(4));
+  const scenario_plan p = make_blackout_plan(4, 100, 50);
+  EXPECT_TRUE(p.well_formed());
   EXPECT_EQ(p.events.size(), 8u);
+  EXPECT_EQ(p.unit_count(), 1u);  // one storm, one minimization unit
+  for (const scenario_event& e : p.events) EXPECT_EQ(e.family, fault_family::blackout);
 }
 
 TEST(FaultPlan, SkewedBlackoutStaggersRecoveries) {
   // All crash at the same instant; process i recovers at down + i * skew —
   // the paper's "all crash at once" corner with clock-skewed restarts.
-  const fault_plan p = make_blackout_plan(4, 100, 50, 7);
-  EXPECT_TRUE(p.well_formed(4));
-  EXPECT_TRUE(p.all_up_eventually(4));
+  const scenario_plan p = make_blackout_plan(4, 100, 50, 7);
+  EXPECT_TRUE(p.well_formed());
   ASSERT_EQ(p.events.size(), 8u);
-  for (const fault_event& e : p.events) {
-    if (e.kind == fault_kind::crash) {
+  for (const scenario_event& e : p.events) {
+    if (e.kind == scenario_kind::crash) {
       EXPECT_EQ(e.at, 100);
     } else {
       EXPECT_EQ(e.at, 150 + 7 * static_cast<time_ns>(e.target.index));
