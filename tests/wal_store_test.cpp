@@ -468,6 +468,40 @@ TEST_F(WalFileMediaTest, CompactionPersistsAcrossRestart) {
   EXPECT_LE(st2.last_recovery().bytes_read, 2 * cfg.compact_min_bytes);
 }
 
+TEST_F(WalFileMediaTest, FsyncEnabledStoresSurviveRestart) {
+  // The durable path the other cases skip: fsync'd appends, a snapshot
+  // install with its directory sync, then a reopen.
+  wal_store_config cfg;
+  cfg.compact_min_bytes = 128;
+  {
+    wal_store st(std::make_unique<file_media>(dir_, /*fsync_enabled=*/true), cfg);
+    for (int i = 0; i < 20; ++i) {
+      st.store(written0, b({static_cast<std::uint8_t>(i), 2, 3}));
+    }
+    st.store(written7, b({7}));
+    ASSERT_GT(st.compactions(), 0u);
+  }
+  wal_store st2(std::make_unique<file_media>(dir_, true), cfg);
+  EXPECT_EQ(*st2.retrieve(written0), b({19, 2, 3}));
+  EXPECT_EQ(*st2.retrieve(written7), b({7}));
+  EXPECT_EQ(st2.last_recovery().log_stop, wal_scan_stop::clean_end);
+}
+
+TEST_F(WalFileMediaTest, LargeRecordSurvivesRestart) {
+  const value big = value_of_size(std::size_t{1} << 20);
+  const bytes record(big.data.begin(), big.data.end());
+  {
+    wal_store st(std::make_unique<file_media>(dir_, false));
+    st.store(written0, record);
+    st.store(written7, b({7}));
+    EXPECT_EQ(*st.retrieve(written0), record);
+  }
+  wal_store st2(std::make_unique<file_media>(dir_, false));
+  EXPECT_EQ(*st2.retrieve(written0), record);
+  EXPECT_EQ(*st2.retrieve(written7), b({7}));
+  EXPECT_EQ(st2.last_recovery().log_stop, wal_scan_stop::clean_end);
+}
+
 TEST_F(WalFileMediaTest, StrayTmpFilesAreSweptAtConstruction) {
   std::filesystem::create_directories(dir_);
   {
