@@ -30,10 +30,8 @@
 // every key against the expected map (exit nonzero on any mismatch).
 // `--smoke` shrinks the op counts for CI. `--replica` is the internal child
 // entry point.
-#include <netinet/in.h>
 #include <signal.h>
 #include <sys/prctl.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -196,37 +194,6 @@ int run_replica(int argc, char** argv) {
   for (;;) ::pause();
 }
 
-bool port_block_free(std::uint16_t base, std::uint32_t count) {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) return false;
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(base + i));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    const int rc = ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-    ::close(fd);
-    if (rc != 0) return false;
-  }
-  return true;
-}
-
-std::uint16_t probe_base_port(std::uint32_t count) {
-  // Start somewhere pid-dependent so concurrent runs rarely collide; the
-  // bind probe catches the rest (a probe-to-use race survives because every
-  // replica's bind failure is a loud startup error, not a silent hang).
-  std::uint16_t base =
-      static_cast<std::uint16_t>(23000 + (::getpid() % 512) * 37 % 20000);
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    if (port_block_free(base, count)) return base;
-    base = static_cast<std::uint16_t>(23000 + (base - 23000 + count + 7) % 20000);
-  }
-  std::fprintf(stderr, "no free loopback port block found\n");
-  std::exit(1);
-}
-
 pid_t spawn_replica(const std::string& exe, std::uint32_t shard, std::uint32_t index,
                     std::uint16_t base_port, std::uint32_t n,
                     const std::string& dir, bool recover) {
@@ -283,7 +250,7 @@ int run_loopback(int argc, char** argv) {
   }
   const std::string exe(exe_buf, static_cast<std::size_t>(exe_len));
 
-  const std::uint16_t base_port = probe_base_port(shards * n);
+  const std::uint16_t base_port = runtime::probe_base_port(shards * n);
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("remus-loopback-" + std::to_string(::getpid()));

@@ -11,6 +11,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string>
 
 #include "common/error.h"
 
@@ -75,7 +76,41 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 
 bool would_block(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
 
+/// A TCP socket bound to 127.0.0.1:port with SO_REUSEADDR, or -1 with
+/// errno set.
+int bind_loopback(std::uint16_t port, int type_flags) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | type_flags, 0);
+  if (fd < 0) return -1;
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  const sockaddr_in addr = loopback_addr(port);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
+    const int e = errno;
+    ::close(fd);
+    errno = e;
+    return -1;
+  }
+  return fd;
+}
+
 }  // namespace
+
+std::uint16_t probe_base_port(std::uint32_t count) {
+  std::uint32_t base = 24000 + (static_cast<std::uint32_t>(::getpid()) * 37) % 18000;
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    std::uint32_t bound = 0;
+    while (bound < count) {
+      const int fd = bind_loopback(static_cast<std::uint16_t>(base + bound), 0);
+      if (fd < 0) break;
+      ::close(fd);
+      ++bound;
+    }
+    if (bound == count) return static_cast<std::uint16_t>(base);
+    base = 24000 + (base - 24000 + count + 131) % 18000;
+  }
+  throw driver_error("probe_base_port: no free block of " + std::to_string(count) +
+                     " loopback ports");
+}
 
 tcp_transport::tcp_transport(tcp_transport_options opt) : opt_(opt) {
   if (opt_.n == 0 || opt_.self >= opt_.n) {
@@ -86,16 +121,11 @@ tcp_transport::tcp_transport(tcp_transport_options opt) : opt_(opt) {
   }
   peers_.resize(opt_.n);
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) throw driver_error("tcp_transport: socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  const sockaddr_in addr =
-      loopback_addr(static_cast<std::uint16_t>(opt_.base_port + opt_.self));
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd_, 64) < 0) {
+  listen_fd_ =
+      bind_loopback(static_cast<std::uint16_t>(opt_.base_port + opt_.self), SOCK_NONBLOCK);
+  if (listen_fd_ < 0 || ::listen(listen_fd_, 64) < 0) {
     const int e = errno;
-    ::close(listen_fd_);
+    if (listen_fd_ >= 0) ::close(listen_fd_);
     throw driver_error(std::string("tcp_transport: bind/listen failed: ") +
                        std::strerror(e));
   }

@@ -70,6 +70,11 @@ struct tcp_transport_options {
   std::uint32_t max_frame_bytes = 1u << 24;
 };
 
+/// The first of `count` consecutive loopback ports that are all bindable
+/// now, probed from a pid-dependent start so concurrent processes rarely
+/// pick the same block. Throws driver_error when no block is free.
+[[nodiscard]] std::uint16_t probe_base_port(std::uint32_t count);
+
 class tcp_transport final : public transport {
  public:
   explicit tcp_transport(tcp_transport_options opt);

@@ -2,42 +2,56 @@
 
 namespace remus::storage {
 
-void memory_store::store(record_key key, const bytes& record) {
+void memory_store::store(record_key key, const bytes& record) { put(key, record); }
+
+void memory_store::put(record_key key, std::span<const std::uint8_t> record) {
   ++stores_;
   // operator[] inserts 0 for a fresh key; slot 0 is disambiguated by an
-  // explicit key compare (cheaper than a sentinel scheme on this path).
+  // explicit key compare (a dead slot's area never matches).
   std::uint32_t& slot = index_[key];
-  if (slot < records_.size() && records_[slot].key == key && !records_[slot].dead) {
-    records_[slot].record = record;  // copy-assign reuses the stored buffer
+  if (slot < records_.size() && records_[slot].key == key) {
+    records_[slot].record.assign(record.begin(), record.end());  // reuses the buffer
     return;
   }
   slot = static_cast<std::uint32_t>(records_.size());
-  records_.push_back({key, record, false});
+  records_.push_back({key, bytes(record.begin(), record.end())});
+}
+
+const bytes* memory_store::find(record_key key) const {
+  const std::uint32_t* slot = index_.find(key);
+  return slot == nullptr ? nullptr : &records_[*slot].record;
 }
 
 std::optional<bytes> memory_store::retrieve(record_key key) const {
-  const std::uint32_t* slot = index_.find(key);
-  if (slot == nullptr) return std::nullopt;
-  return records_[*slot].record;
+  const bytes* record = find(key);
+  if (record == nullptr) return std::nullopt;
+  return *record;
 }
 
 void memory_store::for_each(record_area area,
                             const std::function<void(register_id, const bytes&)>& fn) const {
   for (const auto& e : records_) {
-    if (!e.dead && e.key.area == area) fn(e.key.reg, e.record);
+    if (e.key.area == area) fn(e.key.reg, e.record);
+  }
+}
+
+void memory_store::for_each_record(
+    const std::function<void(record_key, const bytes&)>& fn) const {
+  for (const auto& e : records_) {
+    if (e.key.area != dead_area) fn(e.key, e.record);
   }
 }
 
 void memory_store::erase(record_key key) {
   const std::uint32_t* slot = index_.find(key);
   if (slot == nullptr) return;
-  // Tombstone, not compaction: erase is on the lease-expiry hot path, and
-  // shifting the record vector plus re-pointing every moved index slot made
-  // it O(live records) per call. Dead entries are skipped by for_each (so
-  // survivors keep enumerating in first-store order) and reclaimed in bulk
-  // once they outnumber the living.
-  records_[*slot].dead = true;
-  records_[*slot].record.clear();
+  // Tombstone, not compaction: shifting the record vector and re-pointing
+  // every moved index slot would make erase O(live records). A later
+  // store() of the key appends a fresh entry, so the dead one's buffer is
+  // released now.
+  entry& e = records_[*slot];
+  e.key.area = dead_area;
+  e.record = bytes{};
   ++dead_;
   index_.erase(key);
   if (dead_ > records_.size() / 2 && records_.size() >= 64) compact();
@@ -46,7 +60,7 @@ void memory_store::erase(record_key key) {
 void memory_store::compact() {
   std::size_t w = 0;
   for (std::size_t r = 0; r < records_.size(); ++r) {
-    if (records_[r].dead) continue;
+    if (records_[r].key.area == dead_area) continue;
     if (w != r) records_[w] = std::move(records_[r]);
     ++w;
   }
@@ -62,14 +76,6 @@ void memory_store::wipe() {
   records_.clear();
   index_.clear();
   dead_ = 0;
-}
-
-std::size_t memory_store::footprint() const {
-  std::size_t total = 0;
-  for (const auto& e : records_) {
-    if (!e.dead) total += sizeof(e.key) + e.record.size();
-  }
-  return total;
 }
 
 }  // namespace remus::storage

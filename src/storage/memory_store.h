@@ -1,8 +1,11 @@
-// In-memory stable store used by the simulator: the object outlives the
-// simulated process's crashes, which is exactly what "stable" means there.
+// In-memory stable store used by the simulator (the object outlives the
+// simulated process's crashes, which is exactly what "stable" means there)
+// and by wal_store as its live record index.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,8 +24,15 @@ class memory_store final : public stable_store {
   void wipe() override;
   [[nodiscard]] std::uint64_t store_count() const override { return stores_; }
 
-  /// Total bytes currently held (diagnostics).
-  [[nodiscard]] std::size_t footprint() const;
+  /// store() from a byte view (a replayed frame's payload), without first
+  /// building a `bytes`.
+  void put(record_key key, std::span<const std::uint8_t> record);
+
+  /// The record under `key`, or nullptr; valid until the next mutation.
+  [[nodiscard]] const bytes* find(record_key key) const;
+
+  /// Every live record of every area, in first-store order.
+  void for_each_record(const std::function<void(record_key, const bytes&)>& fn) const;
 
  private:
   struct key_hash {
@@ -32,15 +42,16 @@ class memory_store final : public stable_store {
     }
   };
 
+  /// An erased entry keeps its slot with area 0 (no record_area has that
+  /// value, and no WAL frame decodes to it): for_each skips it, and
+  /// compact() reclaims dead slots in bulk once they outnumber the living.
+  /// That keeps erase O(1) on the lease-expiry and migration-evict paths
+  /// while survivors enumerate in first-store order.
   struct entry {
     record_key key;
     bytes record;
-    /// Erased in place (tombstone): skipped by for_each, bulk-reclaimed by
-    /// compact() once the dead outnumber the living. Keeps erase O(1) on
-    /// the lease-expiry hot path while survivors enumerate in first-store
-    /// order, same as eager compaction did.
-    bool dead = false;
   };
+  static constexpr record_area dead_area = record_area{0};
 
   void compact();
 

@@ -21,6 +21,15 @@ namespace {
   throw error("file_media: " + what + ": " + std::strerror(errno));
 }
 
+/// fail_media for a call on `fd` that failed: closes `fd` first, keeping
+/// the failed call's errno.
+[[noreturn]] void fail_media_closing(int fd, const std::string& what) {
+  const int err = errno;
+  ::close(fd);
+  errno = err;
+  fail_media(what);
+}
+
 void read_file(const std::filesystem::path& p, bytes& out) {
   out.clear();
   std::ifstream in(p, std::ios::binary);
@@ -72,9 +81,11 @@ void file_media::open_log() {
 }
 
 void file_media::sync_dir() const {
+  // Fatal like every other fsync: a snapshot rename that is not durable,
+  // followed by a log truncate that is, would lose records on power loss.
   const int fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;  // best effort; some filesystems refuse dir fsync
-  ::fsync(fd);
+  if (fd < 0) fail_media("open " + dir_.string());
+  if (::fsync(fd) != 0) fail_media_closing(fd, "fsync " + dir_.string());
   ::close(fd);
 }
 
@@ -89,18 +100,8 @@ void file_media::install_snapshot(const bytes& snapshot) {
   tmp += ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail_media("open " + tmp.string());
-  if (!write_all(fd, snapshot)) {
-    const int err = errno;  // close() must not overwrite the write's error
-    ::close(fd);
-    errno = err;
-    fail_media("write " + tmp.string());
-  }
-  if (fsync_enabled_ && ::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    errno = err;
-    fail_media("fsync " + tmp.string());
-  }
+  if (!write_all(fd, snapshot)) fail_media_closing(fd, "write " + tmp.string());
+  if (fsync_enabled_ && ::fsync(fd) != 0) fail_media_closing(fd, "fsync " + tmp.string());
   ::close(fd);
   std::error_code ec;
   std::filesystem::rename(tmp, target, ec);
@@ -137,27 +138,16 @@ wal_store::wal_store(std::unique_ptr<wal_media> media, wal_store_config cfg)
 }
 
 void wal_store::apply_record(record_key key, std::span<const std::uint8_t> payload) {
+  if (const bytes* old = live_.find(key)) live_bytes_ -= wal_frame_size(old->size());
   live_bytes_ += wal_frame_size(payload.size());
-  std::uint32_t& slot = index_[key];
-  if (slot < records_.size() && records_[slot].first == key) {
-    live_bytes_ -= wal_frame_size(records_[slot].second.size());
-    records_[slot].second.assign(payload.begin(), payload.end());
-    return;
-  }
-  slot = static_cast<std::uint32_t>(records_.size());
-  records_.emplace_back(key, bytes(payload.begin(), payload.end()));
+  live_.put(key, payload);
 }
 
 void wal_store::apply_tombstone(record_key key) {
-  const std::uint32_t* slot = index_.find(key);
-  if (slot == nullptr) return;
-  const std::uint32_t at = *slot;
-  live_bytes_ -= wal_frame_size(records_[at].second.size());
-  records_.erase(records_.begin() + at);
-  index_.erase(key);
-  for (std::uint32_t i = at; i < records_.size(); ++i) {
-    index_[records_[i].first] = i;
-  }
+  const bytes* old = live_.find(key);
+  if (old == nullptr) return;
+  live_bytes_ -= wal_frame_size(old->size());
+  live_.erase(key);
 }
 
 void wal_store::store(record_key key, const bytes& record) {
@@ -174,7 +164,7 @@ void wal_store::store_and_obsolete(record_key key, const bytes& record,
     // tombstone (nothing to shadow in the log prefix... except a prior
     // record already compacted away — the tombstone is still correct but
     // pure log growth, so skip it).
-    if (k == key || index_.find(k) == nullptr) continue;
+    if (k == key || live_.find(k) == nullptr) continue;
     append_wal_frame(frame_buf_, wal_frame_kind::tombstone, k, {});
   }
   // ONE durable append for the record plus its piggybacked obsolescence.
@@ -189,20 +179,16 @@ void wal_store::store_and_obsolete(record_key key, const bytes& record,
 }
 
 std::optional<bytes> wal_store::retrieve(record_key key) const {
-  const std::uint32_t* slot = index_.find(key);
-  if (slot == nullptr) return std::nullopt;
-  return records_[*slot].second;
+  return live_.retrieve(key);
 }
 
 void wal_store::for_each(record_area area,
                          const std::function<void(register_id, const bytes&)>& fn) const {
-  for (const auto& [k, v] : records_) {
-    if (k.area == area) fn(k.reg, v);
-  }
+  live_.for_each(area, fn);
 }
 
 void wal_store::erase(record_key key) {
-  if (index_.find(key) == nullptr) return;  // no-op, and no log growth
+  if (live_.find(key) == nullptr) return;  // no-op, and no log growth
   frame_buf_.clear();
   append_wal_frame(frame_buf_, wal_frame_kind::tombstone, key, {});
   media_->append_log(frame_buf_);
@@ -213,31 +199,28 @@ void wal_store::erase(record_key key) {
 
 void wal_store::wipe() {
   media_->wipe();
-  records_.clear();
-  index_.clear();
+  live_.wipe();
   log_bytes_ = 0;
-  snapshot_bytes_ = 0;
   live_bytes_ = 0;
 }
 
 void wal_store::maybe_compact() {
   const double floor = static_cast<double>(cfg_.compact_min_bytes);
   const double threshold =
-      std::max(floor, cfg_.compact_slack * static_cast<double>(live_bytes_));
+      std::max(floor, wal_compact_slack * static_cast<double>(live_bytes_));
   if (static_cast<double>(log_bytes_) <= threshold) return;
   // Serialize the live records as frames — the snapshot is just a log with
   // no dead weight, so recovery replays it with the same scanner.
   bytes snapshot;
   snapshot.reserve(live_bytes_);
-  for (const auto& [k, v] : records_) {
+  live_.for_each_record([&snapshot](record_key k, const bytes& v) {
     append_wal_frame(snapshot, wal_frame_kind::record, k, v);
-  }
+  });
   // Media ordering: snapshot durable first, then the log truncate. A crash
   // between the two replays the old log over the new snapshot — idempotent,
   // because the snapshot already reflects the state after the whole log.
   media_->install_snapshot(snapshot);
   media_->truncate_log(0);
-  snapshot_bytes_ = snapshot.size();
   log_bytes_ = 0;
   ++compactions_;
 }
@@ -247,8 +230,7 @@ void wal_store::reopen() {
   bytes log;
   media_->load(snapshot, log);
 
-  records_.clear();
-  index_.clear();
+  live_.wipe();
   live_bytes_ = 0;
   recovery_ = {};
   recovery_.bytes_read = snapshot.size() + log.size();
@@ -270,7 +252,6 @@ void wal_store::reopen() {
   recovery_.frames_replayed = snap.frames + tail.frames;
   recovery_.discarded =
       (snapshot.size() - snap.consumed) + (log.size() - tail.consumed);
-  snapshot_bytes_ = snapshot.size();
   log_bytes_ = tail.consumed;
   // Drop the torn/corrupt log tail on the media so the next append extends
   // the valid prefix instead of hiding behind garbage.

@@ -1,18 +1,19 @@
 // Log-structured stable store: append-only WAL + snapshot compaction.
 //
 // The production-shaped engine behind `stable_store`. Every mutation is
-// one CRC32-framed append (storage/wal_format.h); the live state is an
-// in-memory index rebuilt at recovery by replaying snapshot-then-log.
+// one CRC32-framed append (storage/wal_format.h); the live records sit in a
+// memory_store, rebuilt at recovery by replaying snapshot-then-log, so this
+// class is the paper's store/retrieve map plus a thin durable layer.
 // Replay stops cleanly at the first torn or corrupt frame — the valid
 // prefix is the recovered state, the tail is discarded, and a checksum-
 // failing record is never surfaced.
 //
 // Compaction bounds replay: when the log outgrows the live state (by
-// `compact_slack`, past a floor of `compact_min_bytes`), the live records
-// are serialized into a snapshot, installed atomically, and the log is
-// truncated. Crash between install and truncate is safe — replaying the
-// old log over the new snapshot is idempotent (latest write wins and the
-// snapshot already reflects the whole log).
+// `wal_compact_slack`, past a floor of `compact_min_bytes`), the live
+// records are serialized into a snapshot in first-store order, installed
+// atomically, and the log is truncated. Crash between install and truncate
+// is safe — replaying the old log over the new snapshot is idempotent
+// (latest write wins and the snapshot already reflects the whole log).
 //
 // `store_and_obsolete` is the paper's "writing record obsolete" hook made
 // cheap: the record frame and the obsolescence tombstones of finished
@@ -31,10 +32,8 @@
 #include <filesystem>
 #include <memory>
 #include <span>
-#include <utility>
-#include <vector>
 
-#include "common/flat_hash.h"
+#include "storage/memory_store.h"
 #include "storage/stable_store.h"
 #include "storage/wal_format.h"
 
@@ -105,8 +104,6 @@ class file_media final : public wal_media {
   void load(bytes& snapshot, bytes& log) const override;
   void wipe() override;
 
-  [[nodiscard]] const std::filesystem::path& directory() const { return dir_; }
-
  private:
   void open_log();
   void sync_dir() const;
@@ -116,12 +113,13 @@ class file_media final : public wal_media {
   int log_fd_ = -1;
 };
 
+/// Compaction runs once log_bytes exceeds max(compact_min_bytes,
+/// wal_compact_slack * live_bytes).
+inline constexpr double wal_compact_slack = 2.0;
+
 struct wal_store_config {
-  /// Compact when log_bytes exceeds max(compact_min_bytes,
-  /// compact_slack * live_bytes). The floor keeps tiny stores from
-  /// snapshotting on every append.
+  /// The floor keeps tiny stores from snapshotting on every append.
   std::size_t compact_min_bytes = 64 * 1024;
-  double compact_slack = 2.0;
 };
 
 /// What the last reopen() saw. `bytes_read` is the full recovery I/O
@@ -162,7 +160,6 @@ class wal_store final : public stable_store {
   void inject_tail_bytes(std::span<const std::uint8_t> data);
 
   [[nodiscard]] std::size_t log_bytes() const { return log_bytes_; }
-  [[nodiscard]] std::size_t snapshot_bytes() const { return snapshot_bytes_; }
   /// Bytes the live records would occupy as frames (what a snapshot
   /// would write).
   [[nodiscard]] std::size_t live_bytes() const { return live_bytes_; }
@@ -174,13 +171,6 @@ class wal_store final : public stable_store {
   [[nodiscard]] wal_media& media() { return *media_; }
 
  private:
-  struct key_hash {
-    std::size_t operator()(record_key k) const noexcept {
-      return static_cast<std::size_t>(
-          mix_u64((static_cast<std::uint64_t>(k.area) << 32) | k.reg));
-    }
-  };
-
   /// Applies one replayed or freshly-appended frame to the live index.
   void apply_record(record_key key, std::span<const std::uint8_t> payload);
   void apply_tombstone(record_key key);
@@ -188,13 +178,9 @@ class wal_store final : public stable_store {
 
   std::unique_ptr<wal_media> media_;
   wal_store_config cfg_;
-  // Same shape as memory_store: insertion-ordered records (deterministic
-  // for_each) + flat-hash index, O(1) store with buffer reuse.
-  std::vector<std::pair<record_key, bytes>> records_;
-  flat_hash_map<record_key, std::uint32_t, key_hash> index_;
+  memory_store live_;  // the live records, in first-store order
   bytes frame_buf_;  // reused append scratch
   std::size_t log_bytes_ = 0;
-  std::size_t snapshot_bytes_ = 0;
   std::size_t live_bytes_ = 0;
   std::uint64_t stores_ = 0;
   std::uint64_t compactions_ = 0;

@@ -27,37 +27,6 @@
 namespace remus::runtime {
 namespace {
 
-/// True when ports [base, base + count) are all bindable right now.
-bool port_block_free(std::uint16_t base, std::uint32_t count) {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(base + i));
-    const bool ok = ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-    ::close(fd);
-    if (!ok) return false;
-  }
-  return true;
-}
-
-/// A free block of `count` consecutive loopback ports (pid-salted start so
-/// concurrent test binaries don't race for the same block).
-std::uint16_t probe_base_port(std::uint32_t count) {
-  std::uint16_t base =
-      static_cast<std::uint16_t>(24000 + (static_cast<std::uint32_t>(::getpid()) * 37) % 18000);
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    if (port_block_free(base, count)) return base;
-    base = static_cast<std::uint16_t>(24000 + (base - 24000 + 131) % 18000);
-  }
-  ADD_FAILURE() << "no free loopback port block of " << count;
-  return 0;
-}
-
 tcp_transport_options tcp_opt(std::uint32_t n, std::uint16_t base, std::uint32_t self) {
   tcp_transport_options o;
   o.n = n;

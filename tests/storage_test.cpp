@@ -72,13 +72,6 @@ TEST(MemoryStore, WipeClearsRecords) {
   EXPECT_FALSE(st.retrieve(written0).has_value());
 }
 
-TEST(MemoryStore, FootprintTracksContent) {
-  memory_store st;
-  EXPECT_EQ(st.footprint(), 0u);
-  st.store(written0, b({1, 2, 3}));
-  EXPECT_EQ(st.footprint(), sizeof(record_key) + 3u);
-}
-
 TEST(MemoryStore, EmptyRecordAllowed) {
   memory_store st;
   st.store(written0, {});

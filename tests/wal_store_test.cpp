@@ -1,7 +1,8 @@
 // Unit tests for the WAL engine: frame codec, scanner stop classification,
 // the log-structured store (append, tombstones, compaction, recovery
-// accounting), the corruption matrix (every single-bit flip of the final
-// frame, every truncation offset), and the file-backed media.
+// accounting, a seeded differential run against memory_store), the
+// corruption matrix (every single-bit flip of the final frame, every
+// truncation offset), and the file-backed media.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "common/value.h"
 #include "storage/corruption_injector.h"
+#include "storage/memory_store.h"
 #include "storage/wal_format.h"
 #include "storage/wal_store.h"
 
@@ -237,7 +239,6 @@ TEST(WalStore, StoreAndObsoleteIsOneAppend) {
 TEST(WalStore, CompactionBoundsTheLog) {
   wal_store_config cfg;
   cfg.compact_min_bytes = 256;
-  cfg.compact_slack = 2.0;
   auto st = make_memory_store(cfg);
   for (int i = 0; i < 200; ++i) {
     st->store(written0, b({static_cast<std::uint8_t>(i), 1, 2, 3}));
@@ -248,7 +249,7 @@ TEST(WalStore, CompactionBoundsTheLog) {
   EXPECT_LE(st->log_bytes(),
             std::max<std::size_t>(cfg.compact_min_bytes,
                                   static_cast<std::size_t>(
-                                      cfg.compact_slack *
+                                      wal_compact_slack *
                                       static_cast<double>(st->live_bytes()))) +
                 wal_frame_size(4));
   EXPECT_EQ(*st->retrieve(written0), b({199, 1, 2, 3}));
@@ -283,7 +284,6 @@ TEST(WalStore, RecoveryReplayTracksLiveStateNotStoreCount) {
   // does not grow with store_count().
   wal_store_config cfg;
   cfg.compact_min_bytes = 512;
-  cfg.compact_slack = 2.0;
   auto st = make_memory_store(cfg);
   for (int i = 0; i < 2000; ++i) {
     st->store(record_key{record_area::written, static_cast<register_id>(i % 3)},
@@ -297,6 +297,150 @@ TEST(WalStore, RecoveryReplayTracksLiveStateNotStoreCount) {
   EXPECT_LE(rec.bytes_read, 2 * cfg.compact_min_bytes);
   EXPECT_LE(rec.frames_replayed, 200u);
   EXPECT_GE(rec.frames_replayed, 3u);
+}
+
+// ---------- Differential: wal_store against memory_store ----------
+
+/// The live records in first-store order, kept the plain way: erase shifts
+/// the survivors down and a re-store appends. Both engines and every
+/// snapshot must enumerate like it.
+using ordered_records = std::vector<std::pair<record_key, bytes>>;
+
+void model_store(ordered_records& m, record_key key, const bytes& v) {
+  const auto it = std::find_if(m.begin(), m.end(),
+                               [&](const auto& e) { return e.first == key; });
+  if (it != m.end()) {
+    it->second = v;
+  } else {
+    m.emplace_back(key, v);
+  }
+}
+
+void model_erase(ordered_records& m, record_key key) {
+  std::erase_if(m, [&](const auto& e) { return e.first == key; });
+}
+
+constexpr record_area all_areas[] = {record_area::writing, record_area::written,
+                                     record_area::recovered, record_area::lease};
+
+ordered_records enumerate(const stable_store& st, record_area area) {
+  ordered_records out;
+  st.for_each(area, [&](register_id reg, const bytes& v) {
+    out.emplace_back(record_key{area, reg}, v);
+  });
+  return out;
+}
+
+ordered_records in_area(const ordered_records& m, record_area area) {
+  ordered_records out;
+  for (const auto& e : m) {
+    if (e.first.area == area) out.push_back(e);
+  }
+  return out;
+}
+
+TEST(WalStoreDifferential, MatchesMemoryStoreThroughCompactionsAndReopens) {
+  // 4 areas x 32 registers, filled and then drained in phases: a drain
+  // erases live keys until the dead outnumber the living in wal_store's
+  // record index (>= 64 slots), so memory_store::compact() runs inside it,
+  // while the small compaction floor makes the WAL snapshot often.
+  constexpr register_id regs = 32;
+  rng r(0xd1ff);
+  wal_store_config cfg;
+  cfg.compact_min_bytes = 512;
+  auto wal = make_memory_store(cfg);
+  memory_store mem;
+  ordered_records model;
+  std::uint64_t snapshots_checked = 0;
+  std::uint64_t reopens = 0;
+
+  const auto random_key = [&] {
+    return record_key{all_areas[r.next_below(4)],
+                      static_cast<register_id>(r.next_below(regs))};
+  };
+  const auto random_value = [&] {
+    bytes v(r.next_below(41));
+    for (auto& x : v) x = static_cast<std::uint8_t>(r.next_below(256));
+    return v;
+  };
+
+  for (int phase = 0; phase < 16; ++phase) {
+    const bool drain = phase % 2 == 1;
+    for (int step = 0; step < 300; ++step) {
+      const std::uint64_t compactions = wal->compactions();
+      const double dice = r.next_unit();
+      if (dice < 0.002) {
+        wal->wipe();
+        mem.wipe();
+        model.clear();
+      } else if (dice < (drain ? 0.65 : 0.1)) {
+        // Mostly a live key, so drains really empty the index.
+        const record_key key = !model.empty() && r.chance(0.9)
+                                   ? model[r.next_below(model.size())].first
+                                   : random_key();
+        wal->erase(key);
+        mem.erase(key);
+        model_erase(model, key);
+      } else if (dice < (drain ? 0.8 : 0.3)) {
+        const record_key key = random_key();
+        const bytes v = random_value();
+        std::vector<record_key> obsolete;
+        const std::uint64_t k = 1 + r.next_below(4);
+        for (std::uint64_t j = 0; j < k; ++j) {
+          obsolete.push_back(!model.empty() && r.chance(0.7)
+                                 ? model[r.next_below(model.size())].first
+                                 : random_key());
+        }
+        wal->store_and_obsolete(key, v, obsolete);
+        mem.store_and_obsolete(key, v, obsolete);
+        model_store(model, key, v);
+        for (const record_key& o : obsolete) {
+          if (!(o == key)) model_erase(model, o);
+        }
+      } else {
+        const record_key key = random_key();
+        const bytes v = random_value();
+        wal->store(key, v);
+        mem.store(key, v);
+        model_store(model, key, v);
+      }
+      if (r.chance(0.005)) {
+        wal->reopen();
+        ++reopens;
+      }
+
+      if (wal->compactions() != compactions) {
+        // The snapshot just written holds the live records in first-store
+        // order.
+        ordered_records frames;
+        const wal_scan_result scan =
+            scan_wal(media_of(*wal).snapshot, [&](const wal_frame& f) {
+              EXPECT_EQ(f.kind, wal_frame_kind::record);
+              frames.emplace_back(f.key, bytes(f.payload.begin(), f.payload.end()));
+            });
+        ASSERT_EQ(scan.stop, wal_scan_stop::clean_end);
+        ASSERT_EQ(frames, model) << "phase " << phase << " step " << step;
+        ++snapshots_checked;
+      }
+      for (const record_area area : all_areas) {
+        const ordered_records want = in_area(model, area);
+        ASSERT_EQ(enumerate(*wal, area), want) << "phase " << phase << " step " << step;
+        ASSERT_EQ(enumerate(mem, area), want) << "phase " << phase << " step " << step;
+        for (register_id reg = 0; reg < regs; ++reg) {
+          const record_key key{area, reg};
+          ASSERT_EQ(wal->retrieve(key), mem.retrieve(key));
+        }
+      }
+      ASSERT_EQ(wal->store_count(), mem.store_count());
+    }
+  }
+  EXPECT_GT(snapshots_checked, 20u);
+  EXPECT_GT(reopens, 5u);
+  // Recovery from the final images agrees too.
+  wal->reopen();
+  for (const record_area area : all_areas) {
+    EXPECT_EQ(enumerate(*wal, area), in_area(model, area));
+  }
 }
 
 // ---------- Corruption matrix ----------
@@ -404,9 +548,12 @@ TEST(WalStore, StrayGarbageTailIsDiscardedAndTruncated) {
 
 TEST(WalStore, CorruptSnapshotStopsCleanlyAndLogStillApplies) {
   wal_store_config cfg;
-  cfg.compact_min_bytes = 1;  // compact on every append
-  cfg.compact_slack = 0.0;
+  cfg.compact_min_bytes = 1;
   auto st = make_memory_store(cfg);
+  // Three frames of one live record outgrow wal_compact_slack times it:
+  // the third append compacts written0 into the snapshot.
+  st->store(written0, b({1}));
+  st->store(written0, b({1}));
   st->store(written0, b({1}));
   st->store(written7, b({2}));
   ASSERT_GT(st->compactions(), 0u);
